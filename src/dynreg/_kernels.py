@@ -1,151 +1,67 @@
 """Hot kernels for sigmoid least-squares component sums.
 
-The subsampled oracle spends essentially all of its time averaging
+The subsampled oracle spends essentially all of its time summing
 per-component values, gradients and Hessians over index sets with up to
-N = 10^4 entries.  These inner loops are compiled with numba when it is
-available.  Set ``DYNREG_BACKEND=numpy`` to force the pure-numpy fallback
-(arguably slower, useful for debugging and for the benchmark in
-``benchmarks/bench_kernels.py``); ``DYNREG_BACKEND=numba`` fails loudly if
-numba cannot be imported.
+N = 10^4 entries.  Each sum is one BLAS pass over the selected feature rows:
+a matrix-vector product for the logits, then a dot product (value), a
+transposed matrix-vector product (gradient) or a GEMM of the weighted rows
+against the rows (Hessian).
 
-The numba kernels accumulate strictly sequentially over the index set, so
-repeated calls are bit-identical and a full-batch sum equals the sequential
-sum of per-component contributions.  The numpy fallback uses blocked BLAS
-reductions: still deterministic from call to call, but not bitwise equal to
-the sequential order.
+When ``idx`` is the ordered full index 0..N-1 (the m = N case of the
+operator-Bernstein sample size, and every call from the full-batch
+``Problem``), the sums read ``feats`` and ``labels`` in place; any other
+index set gathers its rows first.  BLAS reductions are blocked rather than
+sequential, so a sum agrees with the sequential per-component sum to
+rounding, and repeated calls on the same machine and BLAS are bit-identical.
 
 Sigmoid evaluation matches ``problems.sigmoid_ls_derivs``: the logit is
 clipped to +-708 before exponentiation and the sigmoid value is clamped to
 [1e-12, 1 - 1e-12] so every derivative formula stays finite.
 """
 
-import os
-
 import numpy as np
 
 V_CLAMP = 1e-12
 Z_CLIP = 708.0
 
-_requested = os.environ.get("DYNREG_BACKEND", "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise RuntimeError(f"DYNREG_BACKEND must be 'numba' or 'numpy', got {_requested!r}")
 
-_use_numba = _requested != "numpy"
-if _use_numba:
-    try:
-        from numba import njit
-    except ImportError:
-        if _requested == "numba":
-            raise
-        _use_numba = False
+def _rows(feats, labels, idx):
+    """Feature rows and labels selected by ``idx``, without a copy when
+    ``idx`` is the ordered full index."""
+    if idx.shape[0] == feats.shape[0] and idx[0] == 0 and np.all(np.diff(idx) == 1):
+        return feats, labels
+    return feats[idx], labels[idx]
 
 
-def _value_sum_py(feats, labels, x, idx):
-    z = np.clip(feats[idx] @ x, -Z_CLIP, Z_CLIP)
-    v = np.clip(1.0 / (1.0 + np.exp(-z)), V_CLAMP, 1.0 - V_CLAMP)
-    r = labels[idx] - v
+def _sigmoid(rows, x):
+    z = np.clip(rows @ x, -Z_CLIP, Z_CLIP)
+    return np.clip(1.0 / (1.0 + np.exp(-z)), V_CLAMP, 1.0 - V_CLAMP)
+
+
+def value_sum(feats, labels, x, idx):
+    """Sum over ``idx`` of (b_i - sigmoid(a_i.x))^2."""
+    rows, b = _rows(feats, labels, idx)
+    r = b - _sigmoid(rows, x)
     return float(np.dot(r, r))
 
 
-def _grad_sum_py(feats, labels, x, idx):
-    rows = feats[idx]
-    z = np.clip(rows @ x, -Z_CLIP, Z_CLIP)
-    v = np.clip(1.0 / (1.0 + np.exp(-z)), V_CLAMP, 1.0 - V_CLAMP)
-    c = -2.0 * (labels[idx] - v) * (1.0 - v) * v
+def grad_sum(feats, labels, x, idx):
+    """Sum over ``idx`` of the component gradients -2(b-v)(1-v)v a_i."""
+    rows, b = _rows(feats, labels, idx)
+    v = _sigmoid(rows, x)
+    c = -2.0 * (b - v) * (1.0 - v) * v
     return rows.T @ c
 
 
-def _hess_sum_py(feats, labels, x, idx):
-    rows = feats[idx]
-    z = np.clip(rows @ x, -Z_CLIP, Z_CLIP)
-    v = np.clip(1.0 / (1.0 + np.exp(-z)), V_CLAMP, 1.0 - V_CLAMP)
-    b = labels[idx]
+def hess_sum(feats, labels, x, idx):
+    """Sum over ``idx`` of the component Hessians
+    -2v(1-v)(3v^2 - 2v(1+b) + b) a_i a_i^T, as one GEMM."""
+    rows, b = _rows(feats, labels, idx)
+    v = _sigmoid(rows, x)
     c = -2.0 * v * (1.0 - v) * (3.0 * v * v - 2.0 * v * (1.0 + b) + b)
-    return np.einsum("i,ij,ik->jk", c, rows, rows)
-
-
-if _use_numba:
-
-    @njit(cache=True)
-    def _sigmoid(z):
-        if z > Z_CLIP:
-            z = Z_CLIP
-        elif z < -Z_CLIP:
-            z = -Z_CLIP
-        v = 1.0 / (1.0 + np.exp(-z))
-        if v < V_CLAMP:
-            v = V_CLAMP
-        elif v > 1.0 - V_CLAMP:
-            v = 1.0 - V_CLAMP
-        return v
-
-    @njit(cache=True)
-    def _value_sum_nb(feats, labels, x, idx):
-        total = 0.0
-        for kk in range(idx.shape[0]):
-            i = idx[kk]
-            z = 0.0
-            for j in range(feats.shape[1]):
-                z += feats[i, j] * x[j]
-            r = labels[i] - _sigmoid(z)
-            total += r * r
-        return total
-
-    @njit(cache=True)
-    def _grad_sum_nb(feats, labels, x, idx):
-        n = feats.shape[1]
-        out = np.zeros(n)
-        for kk in range(idx.shape[0]):
-            i = idx[kk]
-            z = 0.0
-            for j in range(n):
-                z += feats[i, j] * x[j]
-            v = _sigmoid(z)
-            c = -2.0 * (labels[i] - v) * (1.0 - v) * v
-            for j in range(n):
-                out[j] += c * feats[i, j]
-        return out
-
-    @njit(cache=True)
-    def _hess_sum_nb(feats, labels, x, idx):
-        n = feats.shape[1]
-        out = np.zeros((n, n))
-        for kk in range(idx.shape[0]):
-            i = idx[kk]
-            z = 0.0
-            for j in range(n):
-                z += feats[i, j] * x[j]
-            v = _sigmoid(z)
-            b = labels[i]
-            c = -2.0 * v * (1.0 - v) * (3.0 * v * v - 2.0 * v * (1.0 + b) + b)
-            for j in range(n):
-                caj = c * feats[i, j]
-                for l in range(n):
-                    out[j, l] += caj * feats[i, l]
-        return out
-
-    value_sum = _value_sum_nb
-    grad_sum = _grad_sum_nb
-    hess_sum = _hess_sum_nb
-    BACKEND = "numba"
-else:
-    value_sum = _value_sum_py
-    grad_sum = _grad_sum_py
-    hess_sum = _hess_sum_py
-    BACKEND = "numpy"
+    return (rows.T * c) @ rows
 
 
 def backend():
-    """Name of the active kernel backend, 'numba' or 'numpy'."""
-    return BACKEND
-
-
-def warmup():
-    """Trigger JIT compilation so later timings measure only the math."""
-    feats = np.ones((2, 3))
-    labels = np.array([0.0, 1.0])
-    x = np.zeros(3)
-    idx = np.arange(2, dtype=np.int64)
-    value_sum(feats, labels, x, idx)
-    grad_sum(feats, labels, x, idx)
-    hess_sum(feats, labels, x, idx)
+    """Name of the kernel backend; always 'numpy' (numpy on BLAS)."""
+    return "numpy"

@@ -163,8 +163,8 @@ def subsampled_eval(dataset: Dataset, x: np.ndarray, j: int, m: int, rng, counte
     """Mean of order-j component derivatives over m uniform draws.
 
     Sampling is with replacement; m = N switches to the exact full sum with
-    no randomness consumed.  The reduction order is fixed (sequential under
-    the numba backend), so replays are deterministic.
+    no randomness consumed.  The BLAS reduction order is fixed for a given
+    machine and BLAS, so replays there are bit-identical.
     """
     N = dataset.size
     if not 1 <= m <= N:

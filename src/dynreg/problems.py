@@ -153,7 +153,7 @@ class Dataset:
 
 
 def psi_bounds(dataset: Dataset) -> tuple[float, float, float]:
-    """Uniform component bounds (1, max ||a_i||/5, max ||a_i||^2/10)."""
+    """Uniform component bounds (1, 2 max ||a_i||/5, max ||a_i||^2/5)."""
     return _feature_bounds(dataset.features)
 
 

@@ -239,6 +239,19 @@ class TestPsiBounds:
             assert np.linalg.norm(g) <= k1 + 1e-12
             assert np.max(np.abs(np.linalg.eigvalsh(h))) <= k2 + 1e-12
 
+    def test_coefficient_maxima_on_a_dense_grid(self):
+        # with a = e_1 the gradient and Hessian of a component are their
+        # coefficients; psi_bounds uses 2/5 and 1/5 as their maxima over v
+        v = np.linspace(1e-6, 1.0 - 1e-6, 4001)
+        a = np.array([1.0])
+        for b in (0.0, 1.0):
+            derivs = [sigmoid_ls_derivs(a, b, np.array([np.log(vi / (1.0 - vi))])) for vi in v]
+            gmax = max(abs(g[0]) for _, g, _ in derivs)
+            hmax = max(abs(h[0, 0]) for _, _, h in derivs)
+            assert gmax == pytest.approx(8.0 / 27.0, abs=1e-6)
+            assert hmax == pytest.approx(0.15406, abs=1e-5)
+            assert gmax < 2.0 / 5.0 and hmax < 1.0 / 5.0
+
 
 class TestStochasticConfig:
     def test_failure_probability_formula(self):

@@ -12,7 +12,6 @@ from dynreg import (
     save_dataset,
     sigmoid_ls_derivs,
 )
-from dynreg import _kernels
 
 
 def fd_gradient(f, x, h=1e-5):
@@ -115,11 +114,7 @@ class TestBuiltinProblems:
             acc += gi
         expected = acc / ds.size
         got = prob.grad(x)
-        if _kernels.backend() == "numba":
-            # sequential kernel accumulation matches the per-component loop
-            np.testing.assert_allclose(got, expected, rtol=1e-14, atol=1e-18)
-        else:
-            np.testing.assert_allclose(got, expected, rtol=5e-13, atol=1e-16)
+        np.testing.assert_allclose(got, expected, rtol=5e-13, atol=1e-16)
 
 
 class TestDataset:
