@@ -12,6 +12,7 @@ from .oracles import (
     ExactOracle,
     LadderUnderflowError,
     NoisyOracle,
+    NonFiniteEvaluationError,
     Oracle,
     StochasticConfig,
     SubsampledOracle,

@@ -9,6 +9,7 @@ none of the certificates hold and the caller should tighten the accuracies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Sequence
@@ -38,10 +39,10 @@ class CertifyInput:
     xi: float
 
     def __post_init__(self):
-        if self.delta <= 0.0:
-            raise ValueError("delta must be positive")
-        if self.increment < 0.0:
-            raise ValueError("increment must be nonnegative")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
+        if not 0.0 <= self.increment < math.inf:
+            raise ValueError("increment must be nonnegative and finite")
         if len(self.zetas) == 0 or any(z < 0.0 for z in self.zetas):
             raise ValueError("zetas must be a nonempty list of nonnegative reals")
         if not 0.0 < self.omega < 1.0:
@@ -83,8 +84,12 @@ def certify_increment(
     omega: float,
     xi: float,
 ) -> CertifyFlag:
-    """Cascade on bare arguments; the hot path used by the driver."""
-    if delta <= 0.0 or increment < 0.0 or xi <= 0.0 or not 0.0 < omega < 1.0:
+    """Cascade on bare arguments; the hot path used by the driver.
+
+    A NaN or infinite ``delta`` or ``increment`` is rejected, so no
+    certificate rests on non-finite data.
+    """
+    if not (0.0 < delta < math.inf and 0.0 <= increment < math.inf and xi > 0.0 and 0.0 < omega < 1.0):
         raise ValueError("invalid certification arguments")
     if len(zetas) == 0 or any(z < 0.0 for z in zetas):
         raise ValueError("zetas must be a nonempty list of nonnegative reals")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import checks
 from .bounds import complexity_budget
-from .driver import RunReport, TerminationKind, run
+from .driver import RunAborted, RunReport, TerminationKind, run
 from .oracles import ExactOracle, NoisyOracle, StochasticConfig, SubsampledOracle, sample_size, subsampled_eval
 from .params import AlgoParams, Schedule
 from .problems import (
@@ -42,6 +42,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
+EXIT_ABORTED = 4
 
 _PROBLEM_KEYS = {
     "quadratic": {"name", "diag", "x0"},
@@ -211,10 +212,16 @@ def record_to_json(rec) -> dict:
     }
 
 
-def write_trace(path: Path, report: RunReport) -> None:
+def write_trace(path: Path, trace) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        for rec in report.trace:
+        for rec in trace:
             fh.write(json.dumps(record_to_json(rec), sort_keys=True) + "\n")
+
+
+def write_summary(path: Path, summary: dict) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(summary, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def summarize(report: RunReport, problem: Problem, x0: np.ndarray) -> dict:
@@ -262,14 +269,35 @@ def summarize(report: RunReport, problem: Problem, x0: np.ndarray) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def aborted_summary(exc: RunAborted) -> dict:
+    """Summary of a run that raised: the reason and the counts so far."""
+    counters = exc.counters
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "status": "aborted",
+        "reason": str(exc),
+        "totals": {
+            "iterations": sum(1 for r in exc.trace if r.rho is not None),
+            "fun_evals": counters.fun_evals,
+            "deriv_evals": {str(j): c for j, c in sorted(counters.deriv_evals.items())},
+            "component_evals": counters.component_evals,
+        },
+    }
+
+
 def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
-    report, problem, _, x0 = execute(cfg)
+    try:
+        report, problem, _, x0 = execute(cfg)
+    except RunAborted as exc:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_trace(out_dir / "trace.jsonl", exc.trace)
+        write_summary(out_dir / "summary.json", aborted_summary(exc))
+        print(f"{cfg.problem['name']}: status=aborted: {exc}", file=sys.stderr)
+        return EXIT_ABORTED
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_trace(out_dir / "trace.jsonl", report)
+    write_trace(out_dir / "trace.jsonl", report.trace)
     summary = summarize(report, problem, x0)
-    with open(out_dir / "summary.json", "w", encoding="ascii") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_summary(out_dir / "summary.json", summary)
     print(
         f"{problem.name}: status={summary['status']} iterations={summary['totals']['iterations']} "
         f"successful={summary['totals']['successful']} fun_evals={summary['totals']['fun_evals']}"

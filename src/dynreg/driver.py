@@ -91,7 +91,10 @@ class RunReport:
 
 
 class RunAborted(RuntimeError):
-    """A subsolver or the ladder failed mid-run; carries the partial trace."""
+    """A subsolver, the ladder, the oracle or a certification guard failed
+    mid-run (a ``RuntimeError`` or ``ValueError`` inside the loop, such as a
+    non-finite oracle result or an overflowed increment); carries the
+    partial trace."""
 
     def __init__(self, message, trace, counters):
         super().__init__(message)
@@ -258,7 +261,7 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
             delta_prev = step.delta
         else:
             status = Termination(TerminationKind.BUDGET, delta_prev, params.max_iter)
-    except RuntimeError as exc:
+    except (RuntimeError, ValueError) as exc:
         if isinstance(exc, RunAborted):
             raise
         raise RunAborted(f"run aborted at iteration {len(trace)}: {exc}", trace, counters) from exc

@@ -1,11 +1,14 @@
 """Inexact evaluation providers with explicit accuracy contracts.
 
 An oracle serves function values at a requested absolute accuracy and
-derivative tensors at per-order absolute accuracies.  Caching defines what
-counts as an evaluation: a value is recomputed (and counted) only when the
-request is strictly tighter than anything previously served at the same
-point.  Three oracles are provided: exact, bounded-noise (deterministic
-noise injected at the accuracy boundary) and subsampled finite-sum with
+derivative tensors at per-order absolute accuracies.  Every result carries
+the accuracy its oracle promises for it, and caching defines what counts as
+an evaluation: a value or tensor is recomputed (and counted) only when the
+request is strictly tighter than the promise of the result cached at the
+same point.  An exact result promises zero and so serves every later
+request.  Results that are not finite are rejected before they are cached.
+Three oracles are provided: exact, bounded-noise (deterministic noise
+injected at the accuracy boundary) and subsampled finite-sum with
 operator-Bernstein sample sizes.
 """
 
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import Schedule
-from .problems import Dataset, Problem, psi_bounds
+from .problems import Dataset, Problem
 from .taylor import DerivativeBundle, Orders
 from . import _kernels
 
@@ -29,11 +32,11 @@ __all__ = [
     "ExactOracle",
     "LadderUnderflowError",
     "NoisyOracle",
+    "NonFiniteEvaluationError",
     "Oracle",
     "StochasticConfig",
     "SubsampledOracle",
     "failure_probability",
-    "psi_bounds",
     "sample_size",
     "subsampled_eval",
 ]
@@ -44,6 +47,10 @@ _LADDER_TINY = 1e-300
 
 class LadderUnderflowError(RuntimeError):
     """The accuracy ladder shrank below machine tiny; should be unreachable."""
+
+
+class NonFiniteEvaluationError(RuntimeError):
+    """An oracle computed a value or tensor with a NaN or infinite entry."""
 
 
 @dataclass
@@ -101,9 +108,6 @@ class EvalCounters:
 
     def bump_deriv(self, j: int) -> None:
         self.deriv_evals[j] = self.deriv_evals.get(j, 0) + 1
-
-    def snapshot(self) -> tuple:
-        return (self.fun_evals, tuple(sorted(self.deriv_evals.items())), self.component_evals)
 
 
 @dataclass(frozen=True)
@@ -191,11 +195,11 @@ class Oracle:
     Subclasses implement ``_compute_function`` and ``_compute_derivative``,
     each returning ``(value_or_tensor, promised_accuracy)``.
 
-    Function values are reused whenever the cached promise is at least as
-    tight as the request.  Derivative tensors are recomputed exactly when
-    the requested threshold is strictly smaller than any previously served
-    at the same point, which is what the per-order counters measure.  Only
-    the few most recent points are retained.
+    Values and derivative tensors follow one cache rule: a cached result is
+    reused whenever its promise is at least as tight as the request, and
+    is recomputed, and counted, only when the request is strictly tighter.
+    A fresh result that is not finite raises ``NonFiniteEvaluationError``
+    and is not cached.  Only the few most recent points are retained.
     """
 
     def __init__(self):
@@ -229,6 +233,8 @@ class Oracle:
             return hit[0]
         value, promise = self._compute_function(x, eps0)
         self.counters.fun_evals += 1
+        if not math.isfinite(value):
+            raise NonFiniteEvaluationError(f"function value {value} is not finite")
         self._fun_cache[key] = (value, promise)
         self._fun_cache.move_to_end(key)
         while len(self._fun_cache) > _CACHE_POINTS:
@@ -251,15 +257,14 @@ class Oracle:
         tensors = {}
         acc = {}
         for j in range(1, upto + 1):
-            eps_j = eps[j]
             entry = per_point.get(j)
-            if entry is None or eps_j < entry[2]:
-                tensor, promise = self._compute_derivative(x, j, eps_j)
+            if entry is None or entry[1] > eps[j]:
+                tensor, promise = self._compute_derivative(x, j, eps[j])
                 self.counters.bump_deriv(j)
-                entry = (tensor, promise, eps_j)
-                per_point[j] = entry
-            tensors[j] = entry[0]
-            acc[j] = entry[1]
+                if not np.isfinite(tensor).all():
+                    raise NonFiniteEvaluationError(f"order-{j} derivative has a non-finite entry")
+                entry = per_point[j] = (tensor, promise)
+            tensors[j], acc[j] = entry
         return DerivativeBundle(
             origin=x,
             value=None,
@@ -328,9 +333,11 @@ class SubsampledOracle(Oracle):
     """Finite-sum oracle averaging uniformly sampled components.
 
     Sample sizes follow the operator-Bernstein rule, so every request is
-    honored with probability at least 1 - t; requests whose required size
-    reaches N fall back to the exact full sum.  One seeded generator drives
-    all draws, making whole runs replayable.
+    honored with probability at least 1 - t and promises the requested
+    accuracy.  Requests whose required size reaches N fall back to the
+    exact full sum, which draws no random numbers and promises zero, so the
+    cache serves it to every later request at the same point.  One seeded
+    generator drives all draws, making whole runs replayable.
     """
 
     def __init__(self, dataset: Dataset, config: StochasticConfig, t: float):
@@ -360,13 +367,17 @@ class SubsampledOracle(Oracle):
         self._iter_requests += 1
         if m < self.dataset.size:
             self._iter_all_full = False
-        return subsampled_eval(self.dataset, x, j, m, self.rng, self.counters)
+            promise = eps
+        else:
+            promise = 0.0
+        return subsampled_eval(self.dataset, x, j, m, self.rng, self.counters), promise
 
     def _compute_function(self, x, eps0):
-        return float(self._sampled(x, 0, eps0)), eps0
+        value, promise = self._sampled(x, 0, eps0)
+        return float(value), promise
 
     def _compute_derivative(self, x, j, eps_j):
-        return self._sampled(x, j, eps_j), eps_j
+        return self._sampled(x, j, eps_j)
 
     def begin_iteration(self) -> None:
         self._iter_sizes = {}

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -76,6 +76,3 @@ class AlgoParams:
     @property
     def omega0(self) -> float:
         return min(self.kappa_omega, 1.0 / self.sigma0)
-
-    def with_overrides(self, **kwargs) -> "AlgoParams":
-        return replace(self, **kwargs)

@@ -32,7 +32,6 @@ class Problem:
     hess: Callable[[np.ndarray], np.ndarray]
     lipschitz: Mapping[int, float] = field(default_factory=dict)
     f_low: float | None = None
-    known_minimizer: np.ndarray | None = None
 
 
 def make_quadratic(a, name: str = "quadratic") -> Problem:
@@ -59,7 +58,6 @@ def make_quadratic(a, name: str = "quadratic") -> Problem:
         hess=lambda x: A.copy(),
         lipschitz={1: float(np.max(np.abs(np.linalg.eigvalsh(A)))), 2: 0.0},
         f_low=0.0,
-        known_minimizer=np.zeros(n),
     )
 
 
@@ -92,7 +90,6 @@ def make_rosenbrock() -> Problem:
         grad=grad,
         hess=hess,
         f_low=0.0,
-        known_minimizer=np.ones(2),
     )
 
 
@@ -115,7 +112,6 @@ def make_quartic(n: int, box_radius: float = 3.0) -> Problem:
         hess=lambda x: np.diag(3.0 * x**2),
         lipschitz={1: 3.0 * r * r, 2: 6.0 * r},
         f_low=0.0,
-        known_minimizer=np.zeros(n),
     )
 
 

@@ -71,7 +71,6 @@ class StepResult:
     increment: float
     delta: float
     measure_increment: float | None
-    measure_d: np.ndarray | None
     zero_step: bool = False
 
     @classmethod
@@ -82,7 +81,6 @@ class StepResult:
             increment=0.0,
             delta=1.0,
             measure_increment=None,
-            measure_d=None,
             zero_step=True,
         )
 
@@ -321,15 +319,14 @@ def model_descent_step(
         s = (-t / gn) * g
         increment = t * gn
         if t >= long_step:
-            return StepResult(s, t, increment, 1.0, None, None)
+            return StepResult(s, t, increment, 1.0, None)
         # model gradient at the minimizer; zero in exact arithmetic
         mg = g * (1.0 - sigma * t**beta / gn)
         mgn = math.sqrt(float(mg @ mg))
         bound = theta * t**orders.gap / holder_factorial(p - q, beta)
         for delta in DELTA_GRID:
             if mgn * delta <= bound * chi(q, delta):
-                d = (-delta / mgn) * mg if mgn > 0.0 else np.zeros_like(mg)
-                return StepResult(s, t, increment, delta, mgn * delta, d)
+                return StepResult(s, t, increment, delta, mgn * delta)
         raise SubsolverError(
             "no grid radius satisfied the model-measure test at the global minimizer",
             {"p": p, "q": q, "step_norm": t, "measure": mgn},
@@ -345,13 +342,13 @@ def model_descent_step(
         # only happens for negligible steps
         return StepResult.zero(bundle.grad.size)
     if sn >= long_step:
-        return StepResult(sol.s, sn, increment, 1.0, None, None)
+        return StepResult(sol.s, sn, increment, 1.0, None)
     model = model_taylor_derivs(bundle, sol.s, sigma)
     bound = theta * sn**orders.gap / holder_factorial(p - q, beta)
     for delta in DELTA_GRID:
         measure = optimality_measure(model, delta, q)
         if measure.phi <= bound * chi(q, delta):
-            return StepResult(sol.s, sn, increment, delta, measure.phi, measure.d)
+            return StepResult(sol.s, sn, increment, delta, measure.phi)
     raise SubsolverError(
         "no grid radius satisfied the model-measure test at the global minimizer",
         {"p": p, "q": q, "step_norm": sn, "measure": measure.phi},

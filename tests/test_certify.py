@@ -93,3 +93,13 @@ class TestValidation:
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             CertifyInput(**kwargs)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["delta", "increment"])
+    def test_rejects_non_finite(self, field, bad):
+        # NaN passes every ordered comparison, so it needs its own guard
+        kwargs = {"delta": 1.0, "increment": 1.0, "zetas": (0.1,), "omega": 0.1, "xi": 0.1, field: bad}
+        with pytest.raises(ValueError):
+            certify_increment(**kwargs)
+        with pytest.raises(ValueError):
+            CertifyInput(**kwargs)

@@ -4,9 +4,11 @@ import json
 import pytest
 
 from dynreg.cli import (
+    EXIT_ABORTED,
     EXIT_BUDGET,
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_VIOLATION,
     ConfigError,
     RunConfig,
     main,
@@ -121,6 +123,43 @@ class TestSolve:
         }
         cfg = write_config(tmp_path, payload)
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_BUDGET
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_aborted_run_exit_code(self, tmp_path):
+        # the gradient overflows at the start point: the run aborts, and the
+        # partial trace and a summary with the reason are still written
+        payload = {"problem": {"name": "rosenbrock", "x0": [1e200, 1.0]}, "orders": {"p": 2, "q": 1}}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_ABORTED
+        assert EXIT_ABORTED not in (EXIT_OK, EXIT_VIOLATION, EXIT_CONFIG, EXIT_BUDGET)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "aborted"
+        assert "non-finite" in summary["reason"]
+        assert summary["totals"]["deriv_evals"] == {"1": 1}
+        assert (out / "trace.jsonl").read_text() == ""
+
+    def test_aborted_run_keeps_partial_trace(self, tmp_path, monkeypatch):
+        import numpy as np
+
+        from dynreg import cli
+
+        class LateNaN(cli.ExactOracle):
+            # a gradient that turns NaN on the fifth computation
+            def _compute_derivative(self, x, j, eps_j):
+                grad, promise = super()._compute_derivative(x, j, eps_j)
+                if j == 1 and self.counters.deriv_evals.get(1, 0) >= 4:
+                    grad = np.full_like(grad, np.nan)
+                return grad, promise
+
+        monkeypatch.setattr(cli, "ExactOracle", LateNaN)
+        out = tmp_path / "o"
+        assert main(["solve", "--problem", "rosenbrock", "--p", "2", "--q", "1", "--out", str(out)]) == EXIT_ABORTED
+        summary = json.loads((out / "summary.json").read_text())
+        records = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+        assert summary["status"] == "aborted"
+        assert summary["totals"]["deriv_evals"]["1"] == 5
+        assert len(records) == summary["totals"]["iterations"] >= 1
 
     def test_flag_overrides(self, tmp_path):
         out = tmp_path / "o"

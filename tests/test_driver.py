@@ -4,6 +4,7 @@ import pytest
 from dynreg import (
     AlgoParams,
     ExactOracle,
+    IterRecord,
     NoisyOracle,
     Orders,
     Problem,
@@ -213,7 +214,7 @@ class TestAbort:
 
         prob = make_quadratic(np.array([1.0]))
 
-        class FlakyOracle(ExactOracle):
+        class FlakyOracle(NoisyOracle):
             calls = 0
 
             def _compute_derivative(self, x, j, eps_j):
@@ -226,6 +227,82 @@ class TestAbort:
             run(FlakyOracle(prob), np.array([1.0]), AlgoParams(eps=1e-6), Orders(p=1, q=1))
         assert isinstance(err.value.trace, list)
         assert err.value.counters.deriv_evals[1] == 4
+
+    def test_nan_start_aborts_without_certificate(self):
+        # NaN data must stop the run before it reaches the certification cascade
+        from dynreg import NonFiniteEvaluationError, RunAborted
+
+        with pytest.raises(RunAborted) as err:
+            run(ExactOracle(make_rosenbrock()), np.array([np.nan, 1.0]), AlgoParams(eps=1e-5), Orders(2, 1))
+        assert isinstance(err.value.__cause__, NonFiniteEvaluationError)
+        assert err.value.trace == []
+        assert err.value.counters.deriv_evals == {1: 1}
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowed_increment_aborts(self):
+        # finite data whose step increment overflows: the certification guard
+        # rejects it, and the run stops with its partial trace
+        from dynreg import RunAborted
+
+        with pytest.raises(RunAborted) as err:
+            run(ExactOracle(make_quadratic(np.array([1e200]))), np.array([1e100]), AlgoParams(eps=1e-5), Orders(2, 1))
+        assert isinstance(err.value.__cause__, ValueError)
+        assert err.value.trace == []
+
+
+class TestPromiseKeyedCache:
+    """Serving a request from a result whose promise already meets it
+    changes the counts only: every iterate, step and certificate stays."""
+
+    COUNT_FIELDS = {"fun_evals", "deriv_evals", "component_evals"}
+
+    @staticmethod
+    def _promise_request(base):
+        # the same oracle, with every result promising only what was requested
+        class PromiseRequest(base):
+            def _compute_function(self, x, eps0):
+                return super()._compute_function(x, eps0)[0], eps0
+
+            def _compute_derivative(self, x, j, eps_j):
+                return super()._compute_derivative(x, j, eps_j)[0], eps_j
+
+        return PromiseRequest
+
+    def _compare(self, make_oracle, base, x0, params, orders):
+        new = run(make_oracle(base), x0, params, orders)
+        old = run(make_oracle(self._promise_request(base)), x0, params, orders)
+        assert new.status == old.status
+        np.testing.assert_array_equal(new.x_final, old.x_final)
+        assert len(new.trace) == len(old.trace)
+        for a, b in zip(new.trace, old.trace):
+            for name in IterRecord.__slots__:
+                if name not in self.COUNT_FIELDS:
+                    assert getattr(a, name) == getattr(b, name), name
+            assert a.fun_evals <= b.fun_evals
+            assert a.component_evals <= b.component_evals
+            assert all(ca <= cb for (_, ca), (_, cb) in zip(a.deriv_evals, b.deriv_evals))
+        return new.counters, old.counters
+
+    def test_exact_rosenbrock(self):
+        new, old = self._compare(
+            lambda cls: cls(make_rosenbrock()),
+            ExactOracle,
+            np.array([-1.2, 1.0]),
+            AlgoParams(eps=1e-5),
+            Orders(p=2, q=2),
+        )
+        assert sum(new.deriv_evals.values()) < sum(old.deriv_evals.values())
+
+    def test_subsampled_sigmoid(self):
+        ds = make_synthetic_dataset(400, 4, seed=8)
+        new, old = self._compare(
+            lambda cls: cls(ds, StochasticConfig(t_bar=0.1, seed=3), t=1e-3),
+            SubsampledOracle,
+            np.zeros(4),
+            AlgoParams(eps=1e-2),
+            Orders(p=2, q=2),
+        )
+        assert new.component_evals < old.component_evals
 
 
 class TestSchedules:

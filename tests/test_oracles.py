@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,14 @@ from dynreg import (
     ExactOracle,
     LadderUnderflowError,
     NoisyOracle,
+    NonFiniteEvaluationError,
     Orders,
     Schedule,
     StochasticConfig,
     SubsampledOracle,
     failure_probability,
     make_quadratic,
+    make_rosenbrock,
     make_synthetic_dataset,
     psi_bounds,
     sample_size,
@@ -97,13 +101,14 @@ class TestExactOracle:
         self.oracle.request_derivatives(self.x, {1: 2.0}, upto=1)
         assert self.oracle.counters.deriv_evals == {1: 1}
 
-    def test_tighter_request_recomputes(self):
-        # a strictly smaller threshold counts as a new evaluation even
-        # though the exact values do not change
+    def test_tighter_request_is_cache_hit(self):
+        # an exact tensor promises zero error, so it serves every tighter
+        # request at the same point
         self.oracle.request_derivatives(self.x, {1: 1.0}, upto=1)
         self.oracle.request_derivatives(self.x, {1: 0.1}, upto=1)
-        self.oracle.request_derivatives(self.x, {1: 0.1}, upto=1)
-        assert self.oracle.counters.deriv_evals == {1: 2}
+        b = self.oracle.request_derivatives(self.x, {1: 1e-12}, upto=1)
+        assert self.oracle.counters.deriv_evals == {1: 1}
+        assert b.achieved_acc == {1: 0.0}
 
 
 class TestNoisyOracle:
@@ -145,6 +150,17 @@ class TestNoisyOracle:
         assert oracle.counters.fun_evals == 1
         oracle.request_function(self.x, 0.1)  # stale accuracy, recompute once
         assert oracle.counters.fun_evals == 2
+
+    def test_tighter_derivative_request_recomputes(self):
+        # a noisy tensor promises exactly the requested accuracy
+        oracle = NoisyOracle(self.prob, 0.9, seed=3)
+        loose = oracle.request_derivatives(self.x, {1: 0.5, 2: 0.5}, upto=2)
+        oracle.request_derivatives(self.x, {1: 0.5, 2: 0.5}, upto=2)
+        assert oracle.counters.deriv_evals == {1: 1, 2: 1}
+        tight = oracle.request_derivatives(self.x, {1: 0.1, 2: 0.5}, upto=2)
+        assert oracle.counters.deriv_evals == {1: 2, 2: 1}
+        assert tight.achieved_acc == {1: 0.1, 2: 0.5}
+        assert not np.array_equal(tight.grad, loose.grad)
 
 
 class TestSubsampledOracle:
@@ -189,6 +205,36 @@ class TestSubsampledOracle:
             np.testing.assert_array_equal(ga.grad, gb.grad)
         assert a.counters.component_evals == b.counters.component_evals
 
+    def test_tighter_request_below_population_recomputes(self):
+        oracle = SubsampledOracle(self.dataset, self.config, t=0.05)
+        x = np.full(6, 0.1)
+        kappa = self.dataset.kappa_bounds[1]
+        for eps in (kappa, 0.5 * kappa):
+            assert sample_size(kappa, eps, 0.05, 7, self.dataset.size) < self.dataset.size
+            b = oracle.request_derivatives(x, {1: eps}, upto=1)
+            assert b.achieved_acc == {1: eps}
+        assert oracle.counters.deriv_evals == {1: 2}
+        oracle.request_function(x, 0.5)
+        oracle.request_function(x, 0.4)
+        assert oracle.counters.fun_evals == 2
+
+    def test_full_population_serves_every_tighter_request(self):
+        # at m = N the oracle returns the exact full mean and promises zero
+        oracle = SubsampledOracle(self.dataset, self.config, t=0.05)
+        x = np.full(6, 0.1)
+        first = oracle.request_derivatives(x, {1: 1e-9, 2: 1e-9}, upto=2)
+        components = oracle.counters.component_evals
+        assert components == 2 * self.dataset.size
+        again = oracle.request_derivatives(x, {1: 1e-12, 2: 1e-12}, upto=2)
+        assert oracle.counters.deriv_evals == {1: 1, 2: 1}
+        assert first.achieved_acc == again.achieved_acc == {1: 0.0, 2: 0.0}
+        np.testing.assert_array_equal(again.grad, first.grad)
+        np.testing.assert_array_equal(again.hess, first.hess)
+        v = oracle.request_function(x, 1e-9)
+        assert oracle.request_function(x, 1e-12) == v
+        assert oracle.counters.fun_evals == 1
+        assert oracle.counters.component_evals == components + self.dataset.size
+
     def test_full_batch_regime_flag(self):
         # huge accuracy demands clamp every request to the full population
         oracle = SubsampledOracle(self.dataset, self.config, t=0.05)
@@ -214,6 +260,49 @@ class TestSubsampledOracle:
             if np.linalg.norm(approx - exact) > eps1:
                 failures += 1
         assert failures / trials <= 0.05 + 3.0 * np.sqrt(0.05 * 0.95 / trials)
+
+
+class TestNonFiniteResults:
+    """A NaN result raises, is counted as computed, and is never cached."""
+
+    X = np.array([np.nan, 1.0])
+
+    @staticmethod
+    def _oracles():
+        rosen = make_rosenbrock()
+        ds = make_synthetic_dataset(50, 2, seed=4)
+        return {
+            "exact": ExactOracle(rosen),
+            "noisy": NoisyOracle(rosen, 0.9, seed=2),
+            "subsampled": SubsampledOracle(ds, StochasticConfig(seed=1), t=0.05),
+        }
+
+    @pytest.mark.parametrize("kind", ["exact", "noisy", "subsampled"])
+    def test_function_value_rejected_and_not_cached(self, kind):
+        oracle = self._oracles()[kind]
+        for count in (1, 2):
+            with pytest.raises(NonFiniteEvaluationError):
+                oracle.request_function(self.X, 1e-9)
+            assert oracle.counters.fun_evals == count
+
+    @pytest.mark.parametrize("kind", ["exact", "noisy", "subsampled"])
+    def test_derivative_rejected_and_not_cached(self, kind):
+        oracle = self._oracles()[kind]
+        for count in (1, 2):
+            with pytest.raises(NonFiniteEvaluationError):
+                oracle.request_derivatives(self.X, {1: 1e-9, 2: 1e-9}, upto=2)
+            assert oracle.counters.deriv_evals == {1: count}
+
+    def test_infinite_hessian_rejected(self):
+        prob = make_quadratic(np.array([1.0, 2.0]))
+        oracle = ExactOracle(replace(prob, hess=lambda x: np.diag([np.inf, 1.0])))
+        x = np.ones(2)
+        with pytest.raises(NonFiniteEvaluationError):
+            oracle.request_derivatives(x, {1: 1.0, 2: 1.0}, upto=2)
+        # the finite gradient stays cached; the Hessian is recomputed
+        with pytest.raises(NonFiniteEvaluationError):
+            oracle.request_derivatives(x, {1: 1.0, 2: 1.0}, upto=2)
+        assert oracle.counters.deriv_evals == {1: 1, 2: 2}
 
 
 class TestPsiBounds:
