@@ -4,7 +4,7 @@ optimality certificates, exact/noisy/subsampled oracles, and executable
 worst-case budget checks."""
 
 from .bounds import ComplexityBudget, complexity_budget, shrink_budget, sigma_ceiling, success_count_bound
-from .certify import CertifyFlag, CertifyInput, certify, certify_increment
+from .certify import CertifyFlag, certify_increment
 from .driver import IterRecord, RunAborted, RunReport, Termination, TerminationKind, run, sigma_omega_update
 from .oracles import (
     AccuracyLadder,
@@ -36,11 +36,10 @@ from .problems import (
     sigmoid_ls_derivs,
 )
 from .subsolvers import (
-    CubicSolution,
     MeasureResult,
+    ModelSolution,
     StepResult,
     SubsolverError,
-    TrustRegionSolution,
     cubic_min,
     model_descent_step,
     optimality_measure,

@@ -10,7 +10,6 @@ none of the certificates hold and the caller should tighten the accuracies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import IntEnum
 from typing import Sequence
 
@@ -22,36 +21,26 @@ class CertifyFlag(IntEnum):
     SMALL_INCREMENT = 3
 
 
-@dataclass(frozen=True)
-class CertifyInput:
-    """Arguments of one certification call.
+def certify_increment(
+    delta: float,
+    increment: float,
+    zetas: Sequence[float],
+    omega: float,
+    xi: float,
+) -> CertifyFlag:
+    """Run the certification cascade in fixed priority order 1, 2, 3.
 
     ``delta`` bounds the norm of the probe direction, ``increment`` is the
     (nonnegative) inexact Taylor increment of degree r = len(zetas),
     ``zetas`` are the per-order absolute accuracy bounds, ``omega`` the
-    relative and ``xi`` the absolute accuracy targets.
+    relative and ``xi`` the absolute accuracy targets.  A NaN or infinite
+    ``delta`` or ``increment`` is rejected, so no certificate rests on
+    non-finite data.
     """
-
-    delta: float
-    increment: float
-    zetas: tuple[float, ...]
-    omega: float
-    xi: float
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < math.inf:
-            raise ValueError("delta must be positive and finite")
-        if not 0.0 <= self.increment < math.inf:
-            raise ValueError("increment must be nonnegative and finite")
-        if len(self.zetas) == 0 or any(z < 0.0 for z in self.zetas):
-            raise ValueError("zetas must be a nonempty list of nonnegative reals")
-        if not 0.0 < self.omega < 1.0:
-            raise ValueError("omega must lie in (0, 1)")
-        if self.xi <= 0.0:
-            raise ValueError("xi must be positive")
-
-
-def _cascade(delta, increment, zetas, omega, xi) -> CertifyFlag:
+    if not (0.0 < delta < math.inf and 0.0 <= increment < math.inf and xi > 0.0 and 0.0 < omega < 1.0):
+        raise ValueError("invalid certification arguments")
+    if len(zetas) == 0 or any(z < 0.0 for z in zetas):
+        raise ValueError("zetas must be a nonempty list of nonnegative reals")
     total = 0.0
     chi_r = 0.0
     fact = 1.0
@@ -71,38 +60,3 @@ def _cascade(delta, increment, zetas, omega, xi) -> CertifyFlag:
         return CertifyFlag.SMALL_INCREMENT
     return CertifyFlag.NOT_CERTIFIED
 
-
-def certify(inp: CertifyInput) -> CertifyFlag:
-    """Run the certification cascade in fixed priority order 1, 2, 3."""
-    return _cascade(inp.delta, inp.increment, inp.zetas, inp.omega, inp.xi)
-
-
-def certify_increment(
-    delta: float,
-    increment: float,
-    zetas: Sequence[float],
-    omega: float,
-    xi: float,
-) -> CertifyFlag:
-    """Cascade on bare arguments; the hot path used by the driver.
-
-    A NaN or infinite ``delta`` or ``increment`` is rejected, so no
-    certificate rests on non-finite data.
-    """
-    if not (0.0 < delta < math.inf and 0.0 <= increment < math.inf and xi > 0.0 and 0.0 < omega < 1.0):
-        raise ValueError("invalid certification arguments")
-    if len(zetas) == 0 or any(z < 0.0 for z in zetas):
-        raise ValueError("zetas must be a nonempty list of nonnegative reals")
-    return _cascade(delta, increment, zetas, omega, xi)
-
-
-def weighted_error_bound(zetas: Sequence[float], delta: float) -> float:
-    """Worst-case increment error sum zeta_j delta^j / j! over a delta-ball."""
-    total = 0.0
-    fact = 1.0
-    power = 1.0
-    for j, zeta in enumerate(zetas, start=1):
-        fact *= j
-        power *= delta
-        total += zeta * power / fact
-    return total

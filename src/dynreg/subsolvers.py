@@ -1,9 +1,13 @@
 """Certified global subproblem solvers.
 
-Trust-region and cubic-regularized quadratic minimizers in the dense
-eigenbasis (Moré-Sorensen style secular equations, hard case included),
-the ball-constrained optimality measure built on them, and the model
-descent step used by the driver.
+The trust-region problem behind the q = 2 optimality measure and the cubic
+model behind the p = 2 step share one solver core.  In the eigenbasis of
+H, with d(lam) = -(H + lam I)^-1 g, both ask for a multiplier
+lam >= max(0, -lambda_min(H)) with ||d(lam)|| = a + b lam: (a, b) is
+(delta, 0) for the trust region and (0, 2/sigma) for the cubic model
+(Moré-Sorensen secular equation, hard case included).  On that core sit
+the ball-constrained optimality measure and the model descent step used by
+the driver.
 
 All solvers return global minimizers together with the multiplier, so KKT
 and positive-semidefiniteness certificates can be checked directly.
@@ -20,13 +24,11 @@ from .taylor import DerivativeBundle, Orders, chi, holder_factorial, model_taylo
 
 SECULAR_RTOL = 1e-12
 SECULAR_MAX_ITER = 200
-# ||d|| within [delta*(1 - BOUNDARY_RTOL), delta] counts as a boundary solution
-BOUNDARY_RTOL = 1e-8
 DELTA_GRID = tuple(0.5**i for i in range(21))
 
 
 class SubsolverError(RuntimeError):
-    """Secular iteration failed to converge; carries diagnostics."""
+    """Non-finite subproblem data or a secular iteration that did not converge; carries diagnostics."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
@@ -34,20 +36,12 @@ class SubsolverError(RuntimeError):
 
 
 @dataclass
-class TrustRegionSolution:
+class ModelSolution:
+    """Global minimizer d of a trust-region or cubic model, with its multiplier."""
+
     d: np.ndarray
     value: float
     lam: float
-    hard_case: bool
-    kkt_residual: float
-    iterations: int
-
-
-@dataclass
-class CubicSolution:
-    s: np.ndarray
-    lam: float
-    value: float
     hard_case: bool
     kkt_residual: float
     iterations: int
@@ -85,55 +79,76 @@ class StepResult:
         )
 
 
-def _eig_setup(g, H):
-    g = np.asarray(g, dtype=float)
-    H = np.asarray(H, dtype=float)
-    H = 0.5 * (H + H.T)
-    w, Q = np.linalg.eigh(H)
-    gh = Q.T @ g
-    return g, H, w, Q, gh
+def _eig_min(g, H, a: float, b: float) -> ModelSolution:
+    """Global minimizer of g.d + d.H.d/2 whose multiplier lam solves ||d|| = a + b lam.
 
-
-def _secular_norm(w, gh, lam):
-    denom = w + lam
-    return math.sqrt(float(np.sum((gh / denom) ** 2)))
-
-
-def _tr_secular(w, gh, delta, lam_low):
-    """Solve ||d(lam)|| = delta for lam > lam_low via safeguarded Newton.
-
-    Uses the reciprocal formulation 1/||d(lam)|| - 1/delta, which is close
-    to linear in lam.  The caller guarantees that the norm exceeds delta as
-    lam approaches lam_low from above, so the root is bracketed by
-    [lam_low, lam_low + ||gh||/delta].
+    With w, Q the eigenpairs of H, d(lam) = -Q (w + lam)^-1 Q^T g and
+    lam = lam_low + tau, lam_low = max(0, -w[0]), tau >= 0.  The solve runs
+    in tau on the shifted spectrum w + lam_low, whose leftmost entry is
+    exactly zero for an indefinite H, so a root close to lam_low keeps its
+    relative accuracy.  lam = 0 is an interior solution when ||d(0)|| <= a.
+    Otherwise safeguarded Newton on psi = (a + b lam)/||d|| - 1, close to
+    linear in tau, runs inside [0, h], where b h^2 + (a + b lam_low) h =
+    ||Q^T g|| makes ||d|| <= a + b lam.  In the hard case (no gradient in
+    the leftmost eigenspace and ||d(lam_low)|| short of the target) the step
+    is completed along the leftmost eigenvector.  ``value`` is the
+    quadratic part only.
     """
+    H = np.asarray(H, dtype=float)
+    w, Q = np.linalg.eigh(0.5 * (H + H.T))
+    gh = Q.T @ np.asarray(g, dtype=float)
     gn = math.sqrt(float(gh @ gh))
-    lo = lam_low
-    hi = lam_low + gn / delta + 1e-12
-    lam = 0.5 * (lo + hi)
-    for it in range(SECULAR_MAX_ITER):
-        denom = w + lam
-        dh = gh / denom
-        n2 = float(dh @ dh)
-        n = math.sqrt(n2)
-        if abs(n - delta) <= SECULAR_RTOL * delta or (hi - lo) <= 1e-15 * max(1.0, lam):
-            return lam, -dh, it + 1
-        if n > delta:
-            lo = lam
+    if not math.isfinite(gn):
+        raise SubsolverError("gradient norm is not finite", {"a": a, "b": b})
+    lam_low = max(0.0, -float(w[0]))
+    shifted = w + lam_low
+    critical = shifted <= 1e-12 * max(1.0, abs(float(w[0])), abs(float(w[-1])))
+    free = ~critical
+    dh = np.zeros_like(gh)
+    dh[free] = -gh[free] / shifted[free]
+    nd = math.sqrt(float(dh @ dh))
+    a0 = a + b * lam_low  # target norm at tau = 0
+    tau = 0.0
+    hard_case = False
+    iters = 0
+    if np.max(np.abs(gh[critical]), initial=0.0) <= 1e-12 * max(1.0, gn) and nd <= a0:
+        if lam_low > 0.0:
+            # boundary completion along the leftmost eigenvector
+            dh[0] += math.sqrt(a0 * a0 - nd * nd)
+            hard_case = True
+    else:
+        lo = 0.0
+        hi = 2.0 * gn / (a0 + math.sqrt(a0 * a0 + 4.0 * b * gn))
+        tau = 0.5 * hi
+        for iters in range(1, SECULAR_MAX_ITER + 1):
+            denom = shifted + tau
+            dh = -gh / denom
+            n2 = float(dh @ dh)
+            n = math.sqrt(n2)
+            target = a0 + b * tau
+            if abs(n - target) <= SECULAR_RTOL * target or (hi - lo) <= 1e-15 * max(1.0, lam_low + tau):
+                break
+            if n > target:
+                lo = tau
+            else:
+                hi = tau
+            # psi' = b/n + (a + b lam) sum(gh^2/(w + lam)^3) / n^3
+            dpsi = b / n + target * float(np.sum(dh * dh / denom)) / (n2 * n)
+            cand = tau - (target / n - 1.0) / dpsi
+            tau = cand if lo < cand < hi else 0.5 * (lo + hi)
         else:
-            hi = lam
-        # phi(lam) = 1/n - 1/delta, phi' = sum gh^2/(w+lam)^3 / n^3
-        dphi = float(np.sum(dh * dh / denom)) / (n2 * n)
-        step = (1.0 / n - 1.0 / delta) / dphi
-        cand = lam - step
-        lam = cand if lo < cand < hi else 0.5 * (lo + hi)
-    raise SubsolverError(
-        "trust-region secular iteration exceeded its cap",
-        {"delta": delta, "lam_low": lam_low, "bracket": (lo, hi)},
+            raise SubsolverError(
+                "secular iteration exceeded its cap", {"a": a, "b": b, "lam_low": lam_low, "bracket": (lo, hi)}
+            )
+
+    value = float(gh @ dh) + 0.5 * float(np.sum(w * dh * dh))
+    kkt = math.sqrt(float(np.sum(((shifted + tau) * dh + gh) ** 2)))
+    return ModelSolution(
+        d=Q @ dh, value=value, lam=lam_low + tau, hard_case=hard_case, kkt_residual=kkt, iterations=iters
     )
 
 
-def trust_region_min(g, H, delta: float) -> TrustRegionSolution:
+def trust_region_min(g, H, delta: float) -> ModelSolution:
     """Global minimizer of g.d + d.H.d/2 over ||d|| <= delta.
 
     Returns the minimizer with multiplier lam >= 0 satisfying
@@ -141,124 +156,23 @@ def trust_region_min(g, H, delta: float) -> TrustRegionSolution:
     including the hard case where the solution needs an explicit leftmost
     eigenvector component.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    g, H, w, Q, gh = _eig_setup(g, H)
-    lam_low = max(0.0, -w[0])
-    span = max(1.0, abs(float(w[0])), abs(float(w[-1])))
-    crit_tol = 1e-12 * span
-    gn = math.sqrt(float(gh @ gh))
-    hard_gtol = 1e-12 * max(1.0, gn)
-
-    denom = w + lam_low
-    critical = denom <= crit_tol
-    hard_case = False
-    iters = 0
-    if np.any(critical) and float(np.max(np.abs(gh[critical]))) > hard_gtol:
-        lam, dh, iters = _tr_secular(w, gh, delta, lam_low)
-    else:
-        dh = np.zeros_like(gh)
-        safe = ~critical
-        dh[safe] = -gh[safe] / denom[safe]
-        nd = math.sqrt(float(dh @ dh))
-        if lam_low == 0.0 and nd <= delta:
-            lam = 0.0
-        elif nd <= delta:
-            # boundary completion along the leftmost eigenvector
-            tau = math.sqrt(max(delta * delta - nd * nd, 0.0))
-            dh[int(np.argmax(critical))] += tau
-            lam = lam_low
-            hard_case = True
-        else:
-            lam, dh, iters = _tr_secular(w, gh, delta, lam_low)
-
-    d = Q @ dh
-    value = float(gh @ dh) + 0.5 * float(np.sum(w * dh * dh))
-    kkt = math.sqrt(float(np.sum(((w + lam) * dh + gh) ** 2)))
-    return TrustRegionSolution(d=d, value=value, lam=lam, hard_case=hard_case, kkt_residual=kkt, iterations=iters)
+    if not 0.0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
+    return _eig_min(g, H, delta, 0.0)
 
 
-def _cubic_secular(w, gh, sigma, lam_low):
-    """Solve ||s(lam)|| = 2 lam / sigma for lam >= lam_low.
+def cubic_min(g, H, sigma: float) -> ModelSolution:
+    """Global minimizer of g.d + d.H.d/2 + sigma/6 ||d||^3.
 
-    theta(lam) = ||s(lam)|| - 2 lam / sigma is strictly decreasing; the
-    caller guarantees theta > 0 as lam -> lam_low+, so doubling finds an
-    upper bracket.
-    """
-    gn = math.sqrt(float(gh @ gh))
-    lo = lam_low
-    hi = lam_low + max(1.0, math.sqrt(0.5 * sigma * gn)) if gn > 0 else lam_low + 1.0
-    for _ in range(200):
-        if _secular_norm(w, gh, hi) - 2.0 * hi / sigma < 0.0:
-            break
-        hi = lam_low + 2.0 * (hi - lam_low)
-    lam = 0.5 * (lo + hi)
-    for it in range(SECULAR_MAX_ITER):
-        denom = w + lam
-        dh = gh / denom
-        n2 = float(dh @ dh)
-        n = math.sqrt(n2)
-        target = 2.0 * lam / sigma
-        theta = n - target
-        if abs(theta) <= SECULAR_RTOL * max(1.0, target) or (hi - lo) <= 1e-15 * max(1.0, lam):
-            return lam, -dh, it + 1
-        if theta > 0.0:
-            lo = lam
-        else:
-            hi = lam
-        dn = -float(np.sum(dh * dh / denom)) / n if n > 0 else 0.0
-        dtheta = dn - 2.0 / sigma
-        cand = lam - theta / dtheta
-        lam = cand if lo < cand < hi else 0.5 * (lo + hi)
-    raise SubsolverError(
-        "cubic secular iteration exceeded its cap",
-        {"sigma": sigma, "lam_low": lam_low, "bracket": (lo, hi)},
-    )
-
-
-def cubic_min(g, H, sigma: float) -> CubicSolution:
-    """Global minimizer of g.s + s.H.s/2 + sigma/6 ||s||^3.
-
-    The minimizer satisfies (H + lam I) s = -g with lam = (sigma/2) ||s||
+    The minimizer satisfies (H + lam I) d = -g with lam = (sigma/2) ||d||
     and H + lam I positive semidefinite; in the hard case the solution has
     an explicit leftmost eigenvector component of the right length.
     """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    g, H, w, Q, gh = _eig_setup(g, H)
-    lam_low = max(0.0, -w[0])
-    span = max(1.0, abs(float(w[0])), abs(float(w[-1])))
-    crit_tol = 1e-12 * span
-    gn = math.sqrt(float(gh @ gh))
-    hard_gtol = 1e-12 * max(1.0, gn)
-
-    denom = w + lam_low
-    critical = denom <= crit_tol
-    hard_case = False
-    iters = 0
-    if np.any(critical) and float(np.max(np.abs(gh[critical]))) > hard_gtol:
-        lam, sh, iters = _cubic_secular(w, gh, sigma, lam_low)
-    else:
-        sh = np.zeros_like(gh)
-        safe = ~critical
-        sh[safe] = -gh[safe] / denom[safe]
-        ns = math.sqrt(float(sh @ sh))
-        target = 2.0 * lam_low / sigma
-        if lam_low == 0.0 and ns == 0.0:
-            lam = 0.0  # positive semidefinite with no gradient: s = 0
-        elif ns < target:
-            tau = math.sqrt(target * target - ns * ns)
-            sh[int(np.argmax(critical))] += tau
-            lam = lam_low
-            hard_case = True
-        else:
-            lam, sh, iters = _cubic_secular(w, gh, sigma, lam_low)
-
-    s = Q @ sh
-    ns = math.sqrt(float(sh @ sh))
-    value = float(gh @ sh) + 0.5 * float(np.sum(w * sh * sh)) + sigma / 6.0 * ns**3
-    kkt = math.sqrt(float(np.sum(((w + lam) * sh + gh) ** 2)))
-    return CubicSolution(s=s, lam=lam, value=value, hard_case=hard_case, kkt_residual=kkt, iterations=iters)
+    if not 0.0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
+    sol = _eig_min(g, H, 0.0, 2.0 / sigma)
+    sol.value += sigma / 6.0 * math.sqrt(float(sol.d @ sol.d)) ** 3
+    return sol
 
 
 def optimality_measure(bundle: DerivativeBundle, delta: float, q: int) -> MeasureResult:
@@ -333,22 +247,22 @@ def model_descent_step(
         )
 
     sol = cubic_min(bundle.grad, bundle.hess, sigma)
-    sn = math.sqrt(float(sol.s @ sol.s))
+    sn = math.sqrt(float(sol.d @ sol.d))
     if sn == 0.0:
         return StepResult.zero(bundle.grad.size)
-    increment = taylor_increment(bundle, sol.s, p)
+    increment = taylor_increment(bundle, sol.d, p)
     if increment <= 0.0:
         # descent lost to rounding; by the model-decrease lower bound this
         # only happens for negligible steps
         return StepResult.zero(bundle.grad.size)
     if sn >= long_step:
-        return StepResult(sol.s, sn, increment, 1.0, None)
-    model = model_taylor_derivs(bundle, sol.s, sigma)
+        return StepResult(sol.d, sn, increment, 1.0, None)
+    model = model_taylor_derivs(bundle, sol.d, sigma)
     bound = theta * sn**orders.gap / holder_factorial(p - q, beta)
     for delta in DELTA_GRID:
         measure = optimality_measure(model, delta, q)
         if measure.phi <= bound * chi(q, delta):
-            return StepResult(sol.s, sn, increment, delta, measure.phi)
+            return StepResult(sol.d, sn, increment, delta, measure.phi)
     raise SubsolverError(
         "no grid radius satisfied the model-measure test at the global minimizer",
         {"p": p, "q": q, "step_norm": sn, "measure": measure.phi},

@@ -185,7 +185,7 @@ def test_c2_subsolver_certificates():
             g = g - Q[:, 0] * float(Q[:, 0] @ g)
         sigma = float(rng.uniform(0.2, 8.0))
         sol = cubic_min(g, H, sigma)
-        ns = float(np.linalg.norm(sol.s))
+        ns = float(np.linalg.norm(sol.d))
         if not (
             sol.kkt_residual <= 1e-8
             and abs(sol.lam - 0.5 * sigma * ns) <= 1e-8 * max(1.0, sol.lam)
@@ -212,7 +212,7 @@ def test_c2_subsolver_certificates():
         else:
             sigma = float(rng.uniform(0.5, 5.0))
             sol = cubic_min(g, H, sigma)
-            radius = max(1.0, 2.0 * float(np.linalg.norm(sol.s)))
+            radius = max(1.0, 2.0 * float(np.linalg.norm(sol.d)))
             P = P_unit * radius
             norms = np.sqrt(np.sum(P * P, axis=1))
             vals = P @ g + 0.5 * np.einsum("ij,jk,ik->i", P, H, P) + sigma / 6.0 * norms**3

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dynreg import CertifyFlag, CertifyInput, certify, certify_increment
+from dynreg import CertifyFlag, certify_increment
 
 
 class TestFlagExamples:
@@ -36,39 +36,33 @@ class TestProperties:
             r = int(rng.integers(1, 3))
             xi = float(10 ** rng.uniform(-6, 0))
             zetas = [float(xi * rng.uniform(0.0, 1.0)) for _ in range(r)]
-            inp = CertifyInput(
+            flag = certify_increment(
                 delta=float(rng.uniform(0.05, 1.0)),
                 increment=float(rng.choice([0.0, 10 ** rng.uniform(-8, 2)])),
                 zetas=tuple(zetas),
                 omega=float(rng.uniform(0.01, 0.99)),
                 xi=xi,
             )
-            assert certify(inp) is not CertifyFlag.NOT_CERTIFIED
+            assert flag is not CertifyFlag.NOT_CERTIFIED
 
     def test_shrinking_zetas_preserves_certification(self):
         rng = np.random.default_rng(1)
         kept = 0
         for _ in range(500):
             r = int(rng.integers(1, 3))
-            inp = CertifyInput(
-                delta=float(rng.uniform(0.05, 1.0)),
-                increment=float(rng.choice([0.0, 10 ** rng.uniform(-6, 1)])),
-                zetas=tuple(float(10 ** rng.uniform(-6, 0)) for _ in range(r)),
-                omega=float(rng.uniform(0.01, 0.99)),
-                xi=float(10 ** rng.uniform(-6, 0)),
-            )
-            if certify(inp) is CertifyFlag.NOT_CERTIFIED:
+            inp = {
+                "delta": float(rng.uniform(0.05, 1.0)),
+                "increment": float(rng.choice([0.0, 10 ** rng.uniform(-6, 1)])),
+                "zetas": tuple(float(10 ** rng.uniform(-6, 0)) for _ in range(r)),
+                "omega": float(rng.uniform(0.01, 0.99)),
+                "xi": float(10 ** rng.uniform(-6, 0)),
+            }
+            if certify_increment(**inp) is CertifyFlag.NOT_CERTIFIED:
                 continue
             kept += 1
             for factor in (0.5, 0.1, 1e-3):
-                smaller = CertifyInput(
-                    inp.delta,
-                    inp.increment,
-                    tuple(z * factor for z in inp.zetas),
-                    inp.omega,
-                    inp.xi,
-                )
-                assert certify(smaller) is not CertifyFlag.NOT_CERTIFIED
+                smaller = {**inp, "zetas": tuple(z * factor for z in inp["zetas"])}
+                assert certify_increment(**smaller) is not CertifyFlag.NOT_CERTIFIED
         assert kept > 100
 
     def test_priority_order(self):
@@ -92,7 +86,7 @@ class TestValidation:
     )
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
-            CertifyInput(**kwargs)
+            certify_increment(**kwargs)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     @pytest.mark.parametrize("field", ["delta", "increment"])
@@ -101,5 +95,3 @@ class TestValidation:
         kwargs = {"delta": 1.0, "increment": 1.0, "zetas": (0.1,), "omega": 0.1, "xi": 0.1, field: bad}
         with pytest.raises(ValueError):
             certify_increment(**kwargs)
-        with pytest.raises(ValueError):
-            CertifyInput(**kwargs)

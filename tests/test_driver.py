@@ -249,6 +249,17 @@ class TestAbort:
         assert isinstance(err.value.__cause__, ValueError)
         assert err.value.trace == []
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowed_gradient_norm_aborts(self):
+        # finite data whose gradient norm overflows in the trust-region
+        # measure: no optimality certificate may rest on it
+        from dynreg import RunAborted, SubsolverError
+
+        with pytest.raises(RunAborted) as err:
+            run(ExactOracle(make_quadratic(np.array([1e300]))), np.array([1e5]), AlgoParams(eps=1e-5), Orders(2, 2))
+        assert isinstance(err.value.__cause__, SubsolverError)
+        assert err.value.trace == []
+
 
 class TestPromiseKeyedCache:
     """Serving a request from a result whose promise already meets it

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynreg import (
     DerivativeBundle,
     Orders,
+    SubsolverError,
     cubic_min,
     model_descent_step,
     optimality_measure,
@@ -100,20 +103,20 @@ class TestTrustRegion:
 class TestCubic:
     def test_psd_zero_gradient(self):
         sol = cubic_min(np.zeros(2), np.eye(2), 1.0)
-        np.testing.assert_array_equal(sol.s, np.zeros(2))
+        np.testing.assert_array_equal(sol.d, np.zeros(2))
         assert sol.lam == 0.0
 
     def test_secular_example(self):
         # ||s||(1 + ||s||) = 3 gives ||s|| = (sqrt(13) - 1)/2
         sol = cubic_min(np.array([-3.0, 0.0]), np.eye(2), 2.0)
         expected = (math.sqrt(13.0) - 1.0) / 2.0
-        assert np.linalg.norm(sol.s) == pytest.approx(expected, rel=1e-10)
-        np.testing.assert_allclose(sol.s, [expected, 0.0], atol=1e-9)
+        assert np.linalg.norm(sol.d) == pytest.approx(expected, rel=1e-10)
+        np.testing.assert_allclose(sol.d, [expected, 0.0], atol=1e-9)
 
     def test_hard_case(self):
         sol = cubic_min(np.zeros(2), np.diag([-1.0, 1.0]), 2.0)
         assert sol.hard_case
-        assert np.linalg.norm(sol.s) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(sol.d) == pytest.approx(1.0, abs=1e-12)
         assert sol.value == pytest.approx(-1.0 / 6.0, rel=1e-12)
 
     def test_certificates_on_random_instances(self):
@@ -127,7 +130,7 @@ class TestCubic:
                 g = g - Q[:, 0] * float(Q[:, 0] @ g)
             sigma = float(rng.uniform(0.1, 10.0))
             sol = cubic_min(g, H, sigma)
-            ns = np.linalg.norm(sol.s)
+            ns = np.linalg.norm(sol.d)
             assert sol.kkt_residual <= 1e-8
             assert abs(sol.lam - 0.5 * sigma * ns) <= 1e-8 * max(1.0, sol.lam)
             assert np.linalg.eigvalsh(H + sol.lam * np.eye(n))[0] >= -1e-10
@@ -139,8 +142,83 @@ class TestCubic:
             g = rng.standard_normal(2)
             sigma = float(rng.uniform(0.5, 5.0))
             sol = cubic_min(g, H, sigma)
-            radius = max(1.0, 2.0 * np.linalg.norm(sol.s))
+            radius = max(1.0, 2.0 * np.linalg.norm(sol.d))
             assert sol.value <= cubic_grid_min(g, H, sigma, radius) + 1e-6
+
+
+@st.composite
+def adversarial_models(draw):
+    """(g, H, scale) with a repeated or clustered leftmost eigenvalue.
+
+    The gradient is generic, exactly orthogonal to the leftmost eigenspace
+    (up to rounding) or orthogonal but for a 1e-10 relative component; the
+    spectrum and the gradient share one scale between 1e-8 and 1e8.
+    """
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, n - 1))
+    scale = 10.0 ** draw(st.integers(-8, 8))
+    cluster = draw(st.sampled_from([0.0, 1e-14, 1e-10, 1e-6]))
+    left = draw(st.floats(-1.0, 1.0))
+    leftmost = draw(st.sampled_from([0.0, 1e-10, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = np.concatenate([left + cluster * rng.uniform(0.0, 1.0, k), left + rng.uniform(0.1, 2.0, n - k)])
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    gh = rng.standard_normal(n)
+    gh[:k] *= leftmost
+    return scale * (Q @ gh), scale * ((Q * w) @ Q.T), scale
+
+
+def assert_model_certificates(g, H, sol):
+    """KKT residual and H + lam I >= 0, relative to the scale of the data."""
+    n = g.size
+    size = np.linalg.norm(H, 2) + sol.lam
+    kkt_tol = 1e-8 * (size * np.linalg.norm(sol.d) + np.linalg.norm(g))
+    assert np.linalg.norm(H @ sol.d + sol.lam * sol.d + g) <= kkt_tol
+    assert sol.kkt_residual <= kkt_tol
+    assert sol.lam >= 0.0
+    assert np.linalg.eigvalsh(H + sol.lam * np.eye(n))[0] >= -1e-10 * size
+
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
+LOG_UNIFORM = st.floats(-2.0, 2.0).map(lambda e: 10.0**e)
+
+
+class TestAdversarialSpectra:
+    @PROPERTY
+    @given(model=adversarial_models(), delta=LOG_UNIFORM)
+    def test_trust_region_certificates(self, model, delta):
+        g, H, _ = model
+        sol = trust_region_min(g, H, delta)
+        assert_model_certificates(g, H, sol)
+        nd = np.linalg.norm(sol.d)
+        assert nd <= delta * (1.0 + 1e-10)
+        assert sol.lam * abs(delta - nd) <= 1e-8 * sol.lam * delta
+
+    @PROPERTY
+    @given(model=adversarial_models(), sigma=LOG_UNIFORM)
+    def test_cubic_certificates(self, model, sigma):
+        g, H, scale = model
+        # sigma carries the scale of H, so the step keeps the scale of g/H
+        sigma *= scale
+        sol = cubic_min(g, H, sigma)
+        assert_model_certificates(g, H, sol)
+        assert abs(sol.lam - 0.5 * sigma * np.linalg.norm(sol.d)) <= 1e-8 * sol.lam
+
+
+class TestNonFiniteData:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("solver", [trust_region_min, cubic_min])
+    def test_overflowed_gradient_norm_raises(self, solver):
+        # ||g||^2 overflows; no value or multiplier may be built on it
+        with pytest.raises(SubsolverError):
+            solver(np.array([1e305]), np.array([[1e300]]), 1.0)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("solver", [trust_region_min, cubic_min])
+    def test_rejects_invalid_radius(self, solver, radius):
+        # delta and sigma must be positive and finite; NaN passes "<= 0"
+        with pytest.raises(ValueError):
+            solver(np.array([1.0, 0.5]), np.diag([1.0, -2.0]), radius)
 
 
 class TestOptimalityMeasure:
