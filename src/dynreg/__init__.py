@@ -45,6 +45,15 @@ from .subsolvers import (
     optimality_measure,
     trust_region_min,
 )
-from .taylor import DerivativeBundle, Orders, chi, holder_factorial, model_taylor_derivs, model_value, taylor_increment
+from .taylor import (
+    DerivativeBundle,
+    Orders,
+    chi,
+    holder_factorial,
+    model_accuracy,
+    model_taylor_derivs,
+    model_value,
+    taylor_increment,
+)
 
 __version__ = "0.1.0"

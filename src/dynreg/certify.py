@@ -32,10 +32,13 @@ def certify_increment(
 
     ``delta`` bounds the norm of the probe direction, ``increment`` is the
     (nonnegative) inexact Taylor increment of degree r = len(zetas),
-    ``zetas`` are the per-order absolute accuracy bounds, ``omega`` the
-    relative and ``xi`` the absolute accuracy targets.  A NaN or infinite
-    ``delta`` or ``increment`` is rejected, so no certificate rests on
-    non-finite data.
+    ``zetas`` are upper bounds on the per-order absolute tensor errors,
+    ``omega`` the relative and ``xi`` the absolute accuracy targets.  The
+    driver passes the accuracies the oracle promised for the tensors
+    (``DerivativeBundle.achieved_acc``), not the ones it requested: any
+    upper bound serves, and a promise is never looser than its request.
+    A NaN or infinite ``delta`` or ``increment`` is rejected, so no
+    certificate rests on non-finite data.
     """
     if not (0.0 < delta < math.inf and 0.0 <= increment < math.inf and xi > 0.0 and 0.0 < omega < 1.0):
         raise ValueError("invalid certification arguments")

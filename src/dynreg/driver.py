@@ -2,10 +2,14 @@
 
 One outer iteration measures approximate optimality at the previous radius,
 computes a trial step by globally minimizing the regularized Taylor model,
-certifies the involved increments against the current accuracy ladder
-(tightening it whenever certification fails), accepts or rejects the trial
+certifies the involved increments against the accuracies the oracle
+promised for the derivatives it returned, accepts or rejects the trial
 point from inexact function values, and updates the regularization weight
-and the relative-accuracy target.
+and the relative-accuracy target.  The accuracy ladder only sets what is
+requested: when certification fails, the ladder shrinks and the
+derivatives are requested again.  A promise is never looser than its
+request, and exact and full-batch results promise zero, so on such data
+every positive increment certifies at once.
 """
 
 from __future__ import annotations
@@ -121,9 +125,9 @@ def sigma_omega_update(rho: float, sigma: float, params: AlgoParams) -> tuple[fl
 def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
     """Iterate until an optimality certificate or the iteration budget.
 
-    The oracle owns the objective; the driver trusts only the accuracy
-    ladder and the certification flags.  Identical (oracle seed, x0,
-    params, orders) replays produce bit-identical reports.
+    The oracle owns the objective; the driver trusts only the accuracies
+    the oracle promised and the certification flags.  Identical (oracle
+    seed, x0, params, orders) replays produce bit-identical reports.
     """
     x = np.ascontiguousarray(np.asarray(x0, dtype=float))
     eps = params.eps
@@ -180,7 +184,7 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
             while True:
                 bundle = oracle.request_derivatives(x, ladder.eps, orders.q)
                 measure = optimality_measure(bundle, delta_prev, orders.q)
-                zetas = [ladder.eps[j] for j in range(1, orders.q + 1)]
+                zetas = [bundle.achieved_acc[j] for j in range(1, orders.q + 1)]
                 flag = certify_increment(delta_prev, measure.phi, zetas, omega, xi_abs)
                 flags.append(("measure", int(flag)))
                 if flag is CertifyFlag.NOT_CERTIFIED:
@@ -207,7 +211,7 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
                     flag_s = CertifyFlag.RELATIVE_OK
                     flags.append(("step", int(flag_s)))
                 else:
-                    zetas = [ladder.eps[j] for j in range(1, orders.p + 1)]
+                    zetas = [bundle.achieved_acc[j] for j in range(1, orders.p + 1)]
                     flag_s = certify_increment(step.step_norm, step.increment, zetas, omega, xi_abs)
                     flags.append(("step", int(flag_s)))
                     if flag_s is CertifyFlag.NOT_CERTIFIED:
@@ -224,7 +228,7 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
                         break
                 if step.step_norm >= long_step:
                     break
-                zetas_d = [3.0 * ladder.eps[j] for j in range(1, orders.q + 1)]
+                zetas_d = [step.model_acc[j] for j in range(1, orders.q + 1)]
                 flag_d = certify_increment(
                     step.delta,
                     max(0.0, step.measure_increment),

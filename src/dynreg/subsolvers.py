@@ -20,7 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .taylor import DerivativeBundle, Orders, chi, holder_factorial, model_taylor_derivs, taylor_increment
+from .taylor import (
+    DerivativeBundle,
+    Orders,
+    chi,
+    holder_factorial,
+    model_accuracy,
+    model_taylor_derivs,
+    taylor_increment,
+)
 
 SECULAR_RTOL = 1e-12
 SECULAR_MAX_ITER = 200
@@ -58,13 +66,19 @@ class MeasureResult:
 
 @dataclass
 class StepResult:
-    """Trial step for the regularized model, with the data the driver certifies."""
+    """Trial step for the regularized model, with the data the driver certifies.
+
+    ``model_acc`` bounds the errors of the model derivatives behind
+    ``measure_increment`` (see ``model_accuracy``); both are None for a
+    long or zero step.
+    """
 
     s: np.ndarray | None
     step_norm: float
     increment: float
     delta: float
     measure_increment: float | None
+    model_acc: dict[int, float] | None = None
     zero_step: bool = False
 
     @classmethod
@@ -102,7 +116,9 @@ def _eig_min(g, H, a: float, b: float) -> ModelSolution:
         raise SubsolverError("gradient norm is not finite", {"a": a, "b": b})
     lam_low = max(0.0, -float(w[0]))
     shifted = w + lam_low
-    critical = shifted <= 1e-12 * max(1.0, abs(float(w[0])), abs(float(w[-1])))
+    # every tolerance is relative (to ||H||, ||Q^T g|| or tau), so solving
+    # (c g, c H) gives the d of (g, H) at any scale c
+    critical = shifted <= 1e-12 * max(abs(float(w[0])), abs(float(w[-1])))
     free = ~critical
     dh = np.zeros_like(gh)
     dh[free] = -gh[free] / shifted[free]
@@ -111,7 +127,7 @@ def _eig_min(g, H, a: float, b: float) -> ModelSolution:
     tau = 0.0
     hard_case = False
     iters = 0
-    if np.max(np.abs(gh[critical]), initial=0.0) <= 1e-12 * max(1.0, gn) and nd <= a0:
+    if np.max(np.abs(gh[critical]), initial=0.0) <= 1e-12 * gn and nd <= a0:
         if lam_low > 0.0:
             # boundary completion along the leftmost eigenvector
             dh[0] += math.sqrt(a0 * a0 - nd * nd)
@@ -126,7 +142,7 @@ def _eig_min(g, H, a: float, b: float) -> ModelSolution:
             n2 = float(dh @ dh)
             n = math.sqrt(n2)
             target = a0 + b * tau
-            if abs(n - target) <= SECULAR_RTOL * target or (hi - lo) <= 1e-15 * max(1.0, lam_low + tau):
+            if abs(n - target) <= SECULAR_RTOL * target or (hi - lo) <= 1e-15 * tau:
                 break
             if n > target:
                 lo = tau
@@ -240,7 +256,7 @@ def model_descent_step(
         bound = theta * t**orders.gap / holder_factorial(p - q, beta)
         for delta in DELTA_GRID:
             if mgn * delta <= bound * chi(q, delta):
-                return StepResult(s, t, increment, delta, mgn * delta)
+                return StepResult(s, t, increment, delta, mgn * delta, model_accuracy(bundle.achieved_acc, t))
         raise SubsolverError(
             "no grid radius satisfied the model-measure test at the global minimizer",
             {"p": p, "q": q, "step_norm": t, "measure": mgn},
@@ -262,7 +278,7 @@ def model_descent_step(
     for delta in DELTA_GRID:
         measure = optimality_measure(model, delta, q)
         if measure.phi <= bound * chi(q, delta):
-            return StepResult(sol.d, sn, increment, delta, measure.phi)
+            return StepResult(sol.d, sn, increment, delta, measure.phi, model.achieved_acc)
     raise SubsolverError(
         "no grid radius satisfied the model-measure test at the global minimizer",
         {"p": p, "q": q, "step_norm": sn, "measure": measure.phi},

@@ -140,15 +140,30 @@ def model_value(bundle: DerivativeBundle, s: np.ndarray, sigma: float, orders: O
     return bundle.value - taylor_increment(bundle, s, orders.p) + reg
 
 
+def model_accuracy(achieved_acc: dict[int, float], step_norm: float) -> dict[int, float]:
+    """Bounds on the errors of the regularized model's derivatives at a step.
+
+    With gradient and Hessian errors at most z1 and z2, the model gradient
+    g + H s errs by at most z1 + z2 ||s|| and the model Hessian by z2; the
+    regularizer terms are exact.  Every tag is three times the largest
+    input tag, which covers both for ||s|| <= 2 however the per-order tags
+    differ, and the gradient tag follows z1 + z2 ||s|| beyond that.  Only
+    orders tagged in the input are tagged in the result.
+    """
+    z1 = achieved_acc.get(1, 0.0)
+    z2 = achieved_acc.get(2, 0.0)
+    tag = 3.0 * max(z1, z2)
+    bounds = {1: max(tag, z1 + z2 * step_norm), 2: tag}
+    return {j: bounds[j] for j in achieved_acc if j in bounds}
+
+
 def model_taylor_derivs(bundle: DerivativeBundle, s: np.ndarray, sigma: float) -> DerivativeBundle:
     """Gradient and Hessian of the degree-2 regularized model at step ``s``.
 
     For the cubic regularizer sigma/6 * ||s||^3 the derivatives are
     g + H s + (sigma/2)||s|| s and H + (sigma/2)(||s|| I + s s^T/||s||); at
     s = 0 both regularizer terms vanish (their continuous limit).  The
-    accuracy tags of the result are three times those of the input: the
-    model derivatives stack up to three inexact tensor contributions when
-    ||s|| <= 1.
+    accuracy tags of the result are ``model_accuracy`` of the input's.
     """
     if bundle.grad is None or bundle.hess is None:
         raise ValueError("bundle must carry gradient and Hessian")
@@ -159,5 +174,5 @@ def model_taylor_derivs(bundle: DerivativeBundle, s: np.ndarray, sigma: float) -
     if ns > 0.0:
         g = g + (0.5 * sigma * ns) * s
         h = h + (0.5 * sigma) * (ns * np.eye(s.size) + np.outer(s, s) / ns)
-    acc = {j: 3.0 * a for j, a in bundle.achieved_acc.items() if j in (1, 2)}
+    acc = model_accuracy(bundle.achieved_acc, ns)
     return DerivativeBundle(origin=s.copy(), value=None, grad=g, hess=h, achieved_acc=acc)

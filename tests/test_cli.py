@@ -2,6 +2,8 @@ import csv
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynreg.cli import (
     EXIT_ABORTED,
@@ -31,11 +33,67 @@ HAND_TRACE = {
 }
 
 
+REALS = st.floats(-1e6, 1e6, allow_nan=False)
+POSITIVE = st.floats(1e-6, 1e6)
+UNIT = st.floats(1e-6, 0.999)
+VECTOR = st.lists(REALS, min_size=1, max_size=4)
+
+
+def _section(required, optional):
+    return st.fixed_dictionaries(required, optional=optional)
+
+
+VALID_CONFIGS = st.fixed_dictionaries(
+    {},
+    optional={
+        "problem": st.one_of(
+            _section({"name": st.just("quadratic")}, {"diag": st.lists(POSITIVE, min_size=1, max_size=4), "x0": VECTOR}),
+            _section({"name": st.just("quartic")}, {"n": st.integers(1, 50), "box_radius": POSITIVE, "x0": VECTOR}),
+            _section({"name": st.just("rosenbrock")}, {"x0": VECTOR}),
+            _section(
+                {"name": st.just("sigmoid-synthetic")},
+                {"N": st.integers(1, 10**6), "n": st.integers(1, 100), "data_seed": st.integers(0, 2**32), "x0": VECTOR},
+            ),
+            _section({"name": st.just("sigmoid-file")}, {"path": st.text(min_size=1, max_size=20), "x0": VECTOR}),
+        ),
+        "orders": st.sampled_from([(1, 1), (2, 1), (2, 2)]).flatmap(
+            lambda pq: _section({"p": st.just(pq[0]), "q": st.just(pq[1])}, {"beta": st.just(1.0)})
+        ),
+        "oracle": _section(
+            {"kind": st.sampled_from(["exact", "noisy", "subsampled"])},
+            {"noise_fraction": st.floats(0.0, 1.0), "t_bar": UNIT, "t": UNIT},
+        ),
+        "algo": _section(
+            {},
+            {
+                "eps": UNIT,
+                "gamma_eps": UNIT,
+                "kappa_eps": POSITIVE,
+                "theta": POSITIVE,
+                "delta_init": st.floats(1e-6, 1.0),
+                "max_iter": st.integers(1, 10**6),
+                "schedule": st.sampled_from(["flexible", "monotonic"]),
+            },
+        ),
+        "seed": st.integers(-(2**63), 2**63),
+    },
+)
+
+
 class TestConfig:
     def test_round_trip(self):
         cfg = RunConfig.from_dict(HAND_TRACE)
         again = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert again == cfg
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(raw=VALID_CONFIGS)
+    def test_round_trip_generated(self, raw):
+        cfg = RunConfig.from_dict(raw)
+        again = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+        assert again == cfg
+        assert again.build_orders() == cfg.build_orders()
+        assert again.build_params() == cfg.build_params()
 
     @pytest.mark.parametrize(
         "payload",

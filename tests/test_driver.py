@@ -18,6 +18,8 @@ from dynreg import (
     run,
     sigma_omega_update,
 )
+from dynreg import driver
+from dynreg.certify import certify_increment
 from dynreg.checks import counting_violations
 
 
@@ -65,12 +67,17 @@ class TestSigmaOmegaUpdate:
 
 
 class TestHandTrace:
-    """f(x) = x^2/2 from x0 = 1 with the exact oracle and eps = 1e-3."""
+    """f(x) = x^2/2 from x0 = 1 with eps = 1e-3, on an oracle that returns
+    exact values but promises only the requested accuracy, so certification
+    walks down the ladder."""
 
     def setup_method(self):
         self.prob = make_quadratic(np.array([1.0]))
         self.report = run(
-            ExactOracle(self.prob), np.array([1.0]), AlgoParams(eps=1e-3), Orders(p=1, q=1)
+            NoisyOracle(self.prob, noise_fraction=0.0),
+            np.array([1.0]),
+            AlgoParams(eps=1e-3),
+            Orders(p=1, q=1),
         )
 
     def test_single_successful_iteration(self):
@@ -96,6 +103,37 @@ class TestHandTrace:
         for rec in self.report.trace:
             per_order = dict(rec.deriv_evals)
             assert per_order[1] <= 1 + rec.shrinks
+
+
+class TestExactHandTrace:
+    """The same run on the exact oracle: its promise is 0, so the cascade's
+    error bound is 0 and every positive increment certifies at once."""
+
+    def setup_method(self):
+        self.report = run(
+            ExactOracle(make_quadratic(np.array([1.0]))),
+            np.array([1.0]),
+            AlgoParams(eps=1e-3),
+            Orders(p=1, q=1),
+        )
+
+    def test_no_shrinks(self):
+        assert [r.shrinks for r in self.report.trace] == [0, 0]
+        assert all(r.eps_ladder == (1.0,) for r in self.report.trace)
+
+    def test_step_flags_relative_ok_then_zero_increment(self):
+        # one step of length 1 to the origin, measure and step both flag 2
+        first, last = self.report.trace
+        assert first.flags == (("measure", 2), ("step", 2))
+        assert first.rho == 0.5 and first.step_norm == 1.0 and first.success
+        # phi = 0 at the origin with zero promised error: a zero increment
+        assert last.flags == (("measure", 1),)
+        assert self.report.status.kind is TerminationKind.NEGLIGIBLE_INCREMENT
+        np.testing.assert_array_equal(self.report.x_final, np.zeros(1))
+
+    def test_one_evaluation_per_point(self):
+        assert [dict(r.deriv_evals)[1] for r in self.report.trace] == [1, 1]
+        assert [r.fun_evals for r in self.report.trace] == [2, 0]
 
 
 class TestImmediateTermination:
@@ -261,9 +299,23 @@ class TestAbort:
         assert err.value.trace == []
 
 
+def tag_request(base):
+    """The same oracle and cache, with every bundle tagged with the request
+    instead of the promise, so the driver certifies against the ladder."""
+
+    class TagRequest(base):
+        def request_derivatives(self, x, eps, upto):
+            bundle = super().request_derivatives(x, eps, upto)
+            bundle.achieved_acc = {j: eps[j] for j in bundle.achieved_acc}
+            return bundle
+
+    return TagRequest
+
+
 class TestPromiseKeyedCache:
     """Serving a request from a result whose promise already meets it
-    changes the counts only: every iterate, step and certificate stays."""
+    changes the counts only: with both runs certifying against the request,
+    every iterate, step and certificate stays."""
 
     COUNT_FIELDS = {"fun_evals", "deriv_evals", "component_evals"}
 
@@ -280,8 +332,8 @@ class TestPromiseKeyedCache:
         return PromiseRequest
 
     def _compare(self, make_oracle, base, x0, params, orders):
-        new = run(make_oracle(base), x0, params, orders)
-        old = run(make_oracle(self._promise_request(base)), x0, params, orders)
+        new = run(make_oracle(tag_request(base)), x0, params, orders)
+        old = run(make_oracle(tag_request(self._promise_request(base))), x0, params, orders)
         assert new.status == old.status
         np.testing.assert_array_equal(new.x_final, old.x_final)
         assert len(new.trace) == len(old.trace)
@@ -316,6 +368,85 @@ class TestPromiseKeyedCache:
         assert new.component_evals < old.component_evals
 
 
+class TestPromiseKeyedCertification:
+    """Certifying against the promise instead of the request: on exact and
+    full-batch data the iterates and counts stay, and the shrinks go."""
+
+    STEP_FIELDS = ("k", "sigma", "omega", "rho", "step_norm", "success", "delta_k")
+    COUNT_FIELDS = ("fun_evals", "deriv_evals", "component_evals")
+
+    def _compare(self, make_oracle, base, x0, params, orders):
+        new = run(make_oracle(base), x0, params, orders)
+        old = run(make_oracle(tag_request(base)), x0, params, orders)
+        np.testing.assert_array_equal(new.x_final, old.x_final)
+        assert len(new.trace) == len(old.trace)
+        for a, b in zip(new.trace, old.trace):
+            for name in self.STEP_FIELDS + self.COUNT_FIELDS:
+                assert getattr(a, name) == getattr(b, name), name
+            assert a.shrinks <= b.shrinks
+        assert new.total_shrinks < old.total_shrinks
+        return new
+
+    def test_exact_rosenbrock(self):
+        new = self._compare(
+            lambda cls: cls(make_rosenbrock()),
+            ExactOracle,
+            np.array([-1.2, 1.0]),
+            AlgoParams(eps=1e-5),
+            Orders(p=2, q=2),
+        )
+        # a zero error bound certifies every positive increment at once
+        assert new.total_shrinks == 0
+        assert all(flag in (1, 2) for rec in new.trace for _, flag in rec.flags)
+        assert new.status.kind is TerminationKind.OPTIMAL_MEASURE
+
+    def test_subsampled_sigmoid(self):
+        self._compare(
+            lambda cls: cls(make_synthetic_dataset(400, 4, seed=8), StochasticConfig(t_bar=0.1, seed=3), t=1e-3),
+            SubsampledOracle,
+            np.zeros(4),
+            AlgoParams(eps=1e-2),
+            Orders(p=2, q=2),
+        )
+
+
+class TestModelSiteBound:
+    """With an exact gradient and an inexact Hessian the model gradient
+    g + H s is still inexact, so the model-measure certificate must not
+    rest on a zero error bound."""
+
+    def test_exact_gradient_inexact_hessian(self, monkeypatch):
+        class ExactGradient(ExactOracle):
+            def request_derivatives(self, x, eps, upto):
+                bundle = super().request_derivatives(x, eps, upto)
+                bundle.achieved_acc = {j: 0.0 if j == 1 else eps[j] for j in bundle.achieved_acc}
+                return bundle
+
+        calls = []
+
+        def spy(delta, increment, zetas, omega, xi):
+            calls.append(list(zetas))
+            return certify_increment(delta, increment, zetas, omega, xi)
+
+        monkeypatch.setattr(driver, "certify_increment", spy)
+        report = run(
+            ExactGradient(make_rosenbrock()), np.array([-1.2, 1.0]), AlgoParams(eps=1e-3), Orders(p=2, q=1)
+        )
+        sites = [site for rec in report.trace for site, _ in rec.flags]
+        # with p = 2 every flag comes from one cascade, in call order
+        assert len(sites) == len(calls)
+        checked = 0
+        for i, site in enumerate(sites):
+            if site == "model":
+                # the step cascade on the same bundle precedes it: (0, zeta_2)
+                assert sites[i - 1] == "step"
+                z1, z2 = calls[i - 1]
+                assert z1 == 0.0 and z2 > 0.0
+                assert calls[i] == [3.0 * z2]
+                checked += 1
+        assert checked > 0
+
+
 class TestSchedules:
     def test_monotonic_ladder_never_increases(self):
         prob = make_rosenbrock()
@@ -348,9 +479,13 @@ class TestSchedules:
         assert report.counters.component_evals > 0
 
     def test_flexible_ladder_resets(self):
+        # exact values promising only the request, so the ladder shrinks
         prob = make_rosenbrock()
         report = run(
-            ExactOracle(prob), np.array([-1.2, 1.0]), AlgoParams(eps=1e-3), Orders(p=2, q=1)
+            NoisyOracle(prob, noise_fraction=0.0),
+            np.array([-1.2, 1.0]),
+            AlgoParams(eps=1e-3),
+            Orders(p=2, q=1),
         )
         # some later iteration must observe a looser ladder than its
         # predecessor finished with

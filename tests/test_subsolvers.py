@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynreg import (
@@ -203,6 +203,71 @@ class TestAdversarialSpectra:
         sol = cubic_min(g, H, sigma)
         assert_model_certificates(g, H, sol)
         assert abs(sol.lam - 0.5 * sigma * np.linalg.norm(sol.d)) <= 1e-8 * sol.lam
+
+
+@st.composite
+def unit_models(draw):
+    """(g, H, k) at unit scale, H nonsingular, whose leftmost k eigenvalues
+    are equal or 1e-6 apart; the gradient is generic, orthogonal to their
+    eigenspace (hard-case candidates) or 1e-6 off it."""
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(1, n - 1))
+    cluster = draw(st.sampled_from([0.0, 1e-6]))
+    # |left| >= 0.01: a singular H with an orthogonal gradient has a whole
+    # segment of minimizers, and rounding may pick any of them
+    left = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.01, 1.0))
+    leftmost = draw(st.sampled_from([0.0, 1e-6, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = np.concatenate([left + cluster * rng.uniform(0.0, 1.0, k), left + rng.uniform(0.1, 2.0, n - k)])
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    gh = rng.standard_normal(n)
+    gh[:k] *= leftmost
+    return Q @ gh, (Q * w) @ Q.T, k
+
+
+# H = diag(-1, -1 + 1e-5, 1) with a 1e-6 gradient component on the second
+# eigenvector: below unit scale, absolute tolerances lumped the two leftmost
+# eigenvalues together and dropped that component
+NEAR_CRITICAL = (np.array([0.0, 1e-6, 1.0]), np.diag([-1.0, -1.0 + 1e-5, 1.0]), 1)
+SCALE_EXPONENT = st.floats(-8.0, 8.0)
+
+
+class TestScaleInvariance:
+    """Solving (c g, c H) returns the d of (g, H) for every scale c."""
+
+    SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
+
+    def assert_same_step(self, scaled, unit, c, H, k):
+        assert scaled.hard_case == unit.hard_case
+        assert scaled.lam == pytest.approx(c * unit.lam, rel=1e-6, abs=1e-12 * c)
+        assert scaled.value == pytest.approx(c * unit.value, rel=1e-6, abs=1e-12 * c)
+        tol = 1e-6 * np.linalg.norm(unit.d)
+        if unit.hard_case:
+            # the leftmost eigenspace component is fixed only in length
+            _, Q = np.linalg.eigh(H)
+            rest = Q[:, k:] @ Q[:, k:].T
+            assert np.linalg.norm(rest @ (scaled.d - unit.d)) <= tol
+            assert abs(np.linalg.norm(scaled.d) - np.linalg.norm(unit.d)) <= tol
+        else:
+            assert np.linalg.norm(scaled.d - unit.d) <= tol
+
+    @SETTINGS
+    @given(model=unit_models(), exponent=SCALE_EXPONENT, delta=LOG_UNIFORM)
+    @example(model=NEAR_CRITICAL, exponent=-8.0, delta=10.0)
+    def test_trust_region(self, model, exponent, delta):
+        g, H, k = model
+        c = 10.0**exponent
+        unit = trust_region_min(g, H, delta)
+        self.assert_same_step(trust_region_min(c * g, c * H, delta), unit, c, H, k)
+
+    @SETTINGS
+    @given(model=unit_models(), exponent=SCALE_EXPONENT, sigma=LOG_UNIFORM)
+    @example(model=NEAR_CRITICAL, exponent=-8.0, sigma=1.0)
+    def test_cubic(self, model, exponent, sigma):
+        g, H, k = model
+        c = 10.0**exponent
+        unit = cubic_min(g, H, sigma)
+        self.assert_same_step(cubic_min(c * g, c * H, c * sigma), unit, c, H, k)
 
 
 class TestNonFiniteData:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynreg import (
     DerivativeBundle,
@@ -8,6 +10,7 @@ from dynreg import (
     holder_factorial,
     make_quadratic,
     make_quartic,
+    model_accuracy,
     model_taylor_derivs,
     model_value,
     taylor_increment,
@@ -156,6 +159,8 @@ class TestModelTaylorDerivs:
         assert out.hess[0, 0] == pytest.approx(12.0, abs=0)
 
     def test_accuracy_tags_tripled(self):
+        # three times the largest tag: the model gradient g + H s carries the
+        # Hessian's error too, up to 0.25 + 0.5 * sqrt(2) here
         b = DerivativeBundle(
             origin=np.zeros(2),
             grad=np.zeros(2),
@@ -163,7 +168,7 @@ class TestModelTaylorDerivs:
             achieved_acc={1: 0.25, 2: 0.5},
         )
         out = model_taylor_derivs(b, np.ones(2), sigma=1.0)
-        assert out.achieved_acc == {1: 0.75, 2: 1.5}
+        assert out.achieved_acc == {1: 1.5, 2: 1.5}
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(42)
@@ -202,6 +207,58 @@ class TestModelTaylorDerivs:
                         m(s + ei + ej) - m(s + ei - ej) - m(s - ei + ej) + m(s - ei - ej)
                     ) / (4 * hcur * hcur)
             np.testing.assert_allclose(out.hess, hess_fd, atol=1e-6)
+
+
+class TestModelAccuracy:
+    def test_equal_tags_tripled(self):
+        assert model_accuracy({1: 0.25, 2: 0.25}, 1.0) == {1: 0.75, 2: 0.75}
+        assert model_accuracy({1: 0.25}, 1.0) == {1: 0.75}
+
+    def test_exact_gradient_inexact_hessian(self):
+        # a zero gradient promise must not give the model gradient a zero tag
+        assert model_accuracy({1: 0.0, 2: 1e-3}, 0.5) == {1: 3e-3, 2: 3e-3}
+
+    def test_long_step_gradient_tag(self):
+        assert model_accuracy({1: 0.0, 2: 1.0}, 5.0) == {1: 5.0, 2: 3.0}
+
+    def test_untagged_orders_stay_untagged(self):
+        assert model_accuracy({}, 1.0) == {}
+        assert model_accuracy({2: 0.5}, 1.0) == {2: 1.5}
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        z1=st.sampled_from([0.0, 1e-6, 1e-3, 1.0]),
+        z2=st.sampled_from([0.0, 1e-6, 1e-3, 1.0]),
+        step_norm=st.one_of(st.just(0.0), st.floats(1e-6, 10.0)),
+        aligned=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_tags_bound_the_model_errors(self, z1, z2, step_norm, aligned, seed):
+        # perturb g and H by errors of norm z1 and z2: the model derivatives
+        # at s move by at most the tags; errors aligned with s reach
+        # z1 + z2 ||s|| in the model gradient
+        rng = np.random.default_rng(seed)
+        n = 3
+        g = rng.standard_normal(n)
+        h = rng.standard_normal((n, n))
+        s = rng.standard_normal(n)
+        s *= step_norm / np.linalg.norm(s)
+        u = rng.standard_normal(n)
+        if aligned and step_norm > 0.0:
+            u = s.copy()
+        u /= np.linalg.norm(u)
+        v = rng.standard_normal(n)
+        e = z1 * (u if aligned else v / np.linalg.norm(v))
+        E = z2 * np.outer(u, u)
+        exact = bundle(grad=g, hess=h)
+        inexact = DerivativeBundle(
+            origin=np.zeros(n), grad=g + e, hess=h + E, achieved_acc={1: z1, 2: z2}
+        )
+        a = model_taylor_derivs(exact, s, 1.0)
+        b = model_taylor_derivs(inexact, s, 1.0)
+        slack = 1e-12 * (1.0 + np.linalg.norm(a.grad) + np.linalg.norm(a.hess, 2))
+        assert np.linalg.norm(b.grad - a.grad) <= b.achieved_acc[1] + slack
+        assert np.linalg.norm(b.hess - a.hess, 2) <= b.achieved_acc[2] + slack
 
 
 class TestTaylorBound:
