@@ -18,6 +18,7 @@ from .oracles import (
     SubsampledOracle,
     failure_probability,
     sample_size,
+    sampling_failures,
     subsampled_eval,
 )
 from .params import AlgoParams, Schedule

@@ -14,15 +14,15 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import checks
-from .bounds import complexity_budget
+from .bounds import ComplexityBudget, complexity_budget
 from .driver import RunAborted, RunReport, TerminationKind, run
-from .oracles import ExactOracle, NoisyOracle, StochasticConfig, SubsampledOracle, sample_size, subsampled_eval
+from .oracles import ExactOracle, NoisyOracle, StochasticConfig, SubsampledOracle, sampling_failures
 from .params import AlgoParams, Schedule
 from .problems import (
     Dataset,
@@ -161,6 +161,10 @@ def build_problem(cfg: RunConfig) -> tuple[Problem, Dataset | None, np.ndarray]:
     return problem, dataset, x0
 
 
+def stochastic_config(cfg: RunConfig) -> StochasticConfig:
+    return StochasticConfig(t_bar=float(cfg.oracle.get("t_bar", 0.1)), t=cfg.oracle.get("t"), seed=cfg.seed)
+
+
 def build_oracle(cfg: RunConfig, problem: Problem, dataset: Dataset | None, params: AlgoParams, orders: Orders):
     kind = cfg.oracle.get("kind", "exact")
     if kind == "exact":
@@ -169,12 +173,7 @@ def build_oracle(cfg: RunConfig, problem: Problem, dataset: Dataset | None, para
         return NoisyOracle(problem, float(cfg.oracle.get("noise_fraction", 0.9)), seed=cfg.seed)
     if dataset is None:
         raise ConfigError("subsampled oracle requires a sigmoid dataset problem")
-    stoch = StochasticConfig(
-        t_bar=float(cfg.oracle.get("t_bar", 0.1)),
-        t=cfg.oracle.get("t"),
-        seed=cfg.seed,
-    )
-    return SubsampledOracle.for_eps(dataset, stoch, params.eps, orders)
+    return SubsampledOracle.for_eps(dataset, stochastic_config(cfg), params.eps, orders)
 
 
 def execute(cfg: RunConfig) -> tuple[RunReport, Problem, Dataset | None, np.ndarray]:
@@ -224,24 +223,20 @@ def write_summary(path: Path, summary: dict) -> None:
         fh.write("\n")
 
 
+def run_budget(report: RunReport, problem: Problem, x0: np.ndarray) -> ComplexityBudget | None:
+    """Worst-case budget of the run, or None when the problem has no order-p
+    Hölder constant or no lower bound."""
+    L = problem.lipschitz.get(report.orders.p)
+    if L is None or problem.f_low is None:
+        return None
+    return complexity_budget(L, float(problem.value(x0)), problem.f_low, report.params, report.orders)
+
+
 def summarize(report: RunReport, problem: Problem, x0: np.ndarray) -> dict:
-    orders = report.orders
-    budget = None
-    bounds_ok = None
-    L = problem.lipschitz.get(orders.p)
-    if L is not None and problem.f_low is not None:
-        b = complexity_budget(L, float(problem.value(x0)), problem.f_low, report.params, orders)
-        budget = {
-            "sigma_max": b.sigma_max,
-            "omega_min": b.omega_min,
-            "kappa_s": b.kappa_s,
-            "kappa_p": b.kappa_p,
-            "max_successful": b.max_successful,
-            "max_total": b.max_total,
-            "nu_max": b.nu_max,
-            "max_fun_evals": b.max_fun_evals,
-            "max_deriv_evals": b.max_deriv_evals,
-        }
+    budget = bounds_ok = None
+    b = run_budget(report, problem, x0)
+    if b is not None:
+        budget = {key: value for key, value in asdict(b).items() if key != "eps"}
         bounds_ok = not checks.all_violations(report, b)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -328,15 +323,13 @@ def cmd_scaling(cfg: RunConfig, eps_grid: list[float], out_dir: Path) -> int:
         sub = RunConfig.from_dict(cfg.to_dict())
         sub.algo["eps"] = eps
         sub.seed = cfg.seed + 1_000_003 * i
-        report, problem, _, x0 = execute(sub)
-        orders = report.orders
-        L = problem.lipschitz.get(orders.p)
-        budget = None
-        if L is not None and problem.f_low is not None:
-            budget = complexity_budget(L, float(problem.value(x0)), problem.f_low, report.params, orders)
-            violations += [f"eps={eps:g}: {v}" for v in checks.all_violations(report, budget)]
-        else:
-            violations += [f"eps={eps:g}: {v}" for v in checks.counting_violations(report)]
+        try:
+            report, problem, _, x0 = execute(sub)
+        except RunAborted as exc:
+            print(f"eps={eps:g}: status=aborted: {exc}", file=sys.stderr)
+            return EXIT_ABORTED
+        budget = run_budget(report, problem, x0)
+        violations += [f"eps={eps:g}: {v}" for v in checks.all_violations(report, budget)]
         rows.append(
             {
                 "eps": eps,
@@ -366,45 +359,26 @@ def cmd_scaling(cfg: RunConfig, eps_grid: list[float], out_dir: Path) -> int:
     return EXIT_VIOLATION if violations else EXIT_OK
 
 
-def _tensor_error(j: int, approx, exact) -> float:
-    if j == 0:
-        return abs(approx - exact)
-    if j == 1:
-        return float(np.linalg.norm(approx - exact))
-    return float(np.max(np.abs(np.linalg.eigvalsh(approx - exact))))
-
-
 def cmd_sample_check(cfg: RunConfig, trials: int, eps_fracs: list[float], out_dir: Path) -> int:
-    orders = cfg.build_orders()
-    params = cfg.build_params()
+    if trials < 1:
+        raise ConfigError("--trials must be at least 1")
+    if not eps_fracs or not all(0.0 < frac < math.inf for frac in eps_fracs):
+        raise ConfigError("--eps-frac needs positive finite fractions")
     _, dataset, x0 = build_problem(cfg)
     if dataset is None:
         raise ConfigError("sample-check requires a sigmoid dataset problem")
-    stoch = StochasticConfig(
-        t_bar=float(cfg.oracle.get("t_bar", 0.1)),
-        t=cfg.oracle.get("t"),
-        seed=cfg.seed,
-    )
-    t = stoch.resolve_t(params.eps, orders)
-    N, n = dataset.size, dataset.dim
-    dims = {0: 2, 1: n + 1, 2: 2 * n}
+    t = stochastic_config(cfg).resolve_t(cfg.build_params().eps, cfg.build_orders())
 
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     violations = []
     for j in (0, 1, 2):
-        exact = subsampled_eval(dataset, x0, j, N, np.random.default_rng(0))
         for frac in eps_fracs:
             eps_j = frac * dataset.kappa_bounds[j]
             if eps_j <= 0.0:
                 continue
-            m = sample_size(dataset.kappa_bounds[j], eps_j, t, dims[j], N)
             rng = np.random.default_rng([cfg.seed, j, int(1e9 * frac)])
-            failures = 0
-            for _ in range(trials):
-                approx = subsampled_eval(dataset, x0, j, m, rng)
-                if _tensor_error(j, approx, exact) > eps_j:
-                    failures += 1
+            m, failures = sampling_failures(dataset, x0, j, eps_j, t, trials, rng)
             rate = failures / trials
             threshold = t + 3.0 * math.sqrt(t * (1.0 - t) / trials)
             ok = rate <= threshold

@@ -48,7 +48,8 @@ class IterRecord:
 
     ``rho is None`` marks the terminal partial iteration (the run stopped
     while measuring optimality or computing the step, before any trial
-    point was evaluated).
+    point was evaluated).  ``shrinks`` is the number of ``NOT_CERTIFIED``
+    entries in ``flags``: every such flag shrank the ladder once.
     """
 
     k: int
@@ -122,6 +123,24 @@ def sigma_omega_update(rho: float, sigma: float, params: AlgoParams) -> tuple[fl
     return sigma_next, min(params.kappa_omega, 1.0 / sigma_next)
 
 
+def _counts(counters: EvalCounters) -> tuple[int, int, int, int]:
+    """Function, order-1, order-2 and component evaluations so far."""
+    d = counters.deriv_evals
+    return counters.fun_evals, d.get(1, 0), d.get(2, 0), counters.component_evals
+
+
+def _certify(stage, flags, ladder, delta, increment, acc, order, omega, xi) -> CertifyFlag:
+    """Certify ``increment`` against the promised accuracies ``acc[1..order]``
+    and log the flag under ``stage``; on ``NOT_CERTIFIED`` the ladder
+    shrinks and the caller computes again."""
+    zetas = [acc[j] for j in range(1, order + 1)]
+    flag = certify_increment(delta, increment, zetas, omega, xi)
+    flags.append((stage, int(flag)))
+    if flag is CertifyFlag.NOT_CERTIFIED:
+        ladder.shrink()
+    return flag
+
+
 def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
     """Iterate until an optimality certificate or the iteration budget.
 
@@ -143,40 +162,11 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
     counters = oracle.counters
     status = None
 
-    def make_record(k, rho, step_norm, success, delta_k, shrinks, flags, base, extras):
-        fun0, d1_0, d2_0, comp0 = base
-        return IterRecord(
-            k=k,
-            sigma=sigma,
-            omega=omega,
-            rho=rho,
-            step_norm=step_norm,
-            success=success,
-            delta_k=delta_k,
-            eps_ladder=ladder.snapshot(),
-            shrinks=shrinks,
-            flags=tuple(flags),
-            fun_evals=counters.fun_evals - fun0,
-            deriv_evals=(
-                (1, counters.deriv_evals.get(1, 0) - d1_0),
-                (2, counters.deriv_evals.get(2, 0) - d2_0),
-            ),
-            component_evals=counters.component_evals - comp0,
-            extras=extras,
-            x_inf=float(np.max(np.abs(x))) if x.size else 0.0,
-        )
-
     try:
         for k in range(params.max_iter):
             oracle.begin_iteration()
             ladder.reset()
-            base = (
-                counters.fun_evals,
-                counters.deriv_evals.get(1, 0),
-                counters.deriv_evals.get(2, 0),
-                counters.component_evals,
-            )
-            shrinks = 0
+            base = _counts(counters)
             flags = []
             xi_abs = 0.5 * omega * eps
 
@@ -184,21 +174,17 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
             while True:
                 bundle = oracle.request_derivatives(x, ladder.eps, orders.q)
                 measure = optimality_measure(bundle, delta_prev, orders.q)
-                zetas = [bundle.achieved_acc[j] for j in range(1, orders.q + 1)]
-                flag = certify_increment(delta_prev, measure.phi, zetas, omega, xi_abs)
-                flags.append(("measure", int(flag)))
-                if flag is CertifyFlag.NOT_CERTIFIED:
-                    ladder.shrink()
-                    shrinks += 1
-                    continue
-                if flag is not CertifyFlag.RELATIVE_OK:
-                    status = Termination(TerminationKind.NEGLIGIBLE_INCREMENT, delta_prev, k, measure.phi)
-                elif measure.phi <= eps / (1.0 + omega) * chi(orders.q, delta_prev):
-                    status = Termination(TerminationKind.OPTIMAL_MEASURE, delta_prev, k, measure.phi)
-                break
+                flag = _certify(
+                    "measure", flags, ladder, delta_prev, measure.phi, bundle.achieved_acc, orders.q, omega, xi_abs
+                )
+                if flag is not CertifyFlag.NOT_CERTIFIED:
+                    break
+            if flag is not CertifyFlag.RELATIVE_OK:
+                status = Termination(TerminationKind.NEGLIGIBLE_INCREMENT, delta_prev, k, measure.phi)
+            elif measure.phi <= eps / (1.0 + omega) * chi(orders.q, delta_prev):
+                status = Termination(TerminationKind.OPTIMAL_MEASURE, delta_prev, k, measure.phi)
 
             # -- step computation on the regularized model --
-            step = None
             while status is None:
                 bundle = oracle.request_derivatives(x, ladder.eps, orders.p)
                 step = model_descent_step(bundle, sigma, orders, eps, params.mu, params.theta)
@@ -208,17 +194,15 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
                 if orders.p == 1:
                     # closed-form global minimizer: the relative bound follows
                     # from the measure-phase exit condition
-                    flag_s = CertifyFlag.RELATIVE_OK
-                    flags.append(("step", int(flag_s)))
+                    flags.append(("step", int(CertifyFlag.RELATIVE_OK)))
                 else:
-                    zetas = [bundle.achieved_acc[j] for j in range(1, orders.p + 1)]
-                    flag_s = certify_increment(step.step_norm, step.increment, zetas, omega, xi_abs)
-                    flags.append(("step", int(flag_s)))
-                    if flag_s is CertifyFlag.NOT_CERTIFIED:
-                        ladder.shrink()
-                        shrinks += 1
+                    flag = _certify(
+                        "step", flags, ladder, step.step_norm, step.increment,
+                        bundle.achieved_acc, orders.p, omega, xi_abs,
+                    )
+                    if flag is CertifyFlag.NOT_CERTIFIED:
                         continue
-                    if flag_s is not CertifyFlag.RELATIVE_OK:
+                    if flag is not CertifyFlag.RELATIVE_OK:
                         # the step already is the global model minimizer, so
                         # recertifying after an explicit global solve returns
                         # the same flag: a strong optimality certificate
@@ -228,37 +212,47 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
                         break
                 if step.step_norm >= long_step:
                     break
-                zetas_d = [step.model_acc[j] for j in range(1, orders.q + 1)]
-                flag_d = certify_increment(
-                    step.delta,
-                    max(0.0, step.measure_increment),
-                    zetas_d,
-                    omega,
-                    xi_d_scale * omega * eps,
+                flag = _certify(
+                    "model", flags, ladder, step.delta, max(0.0, step.measure_increment),
+                    step.model_acc, orders.q, omega, xi_d_scale * omega * eps,
                 )
-                flags.append(("model", int(flag_d)))
-                if flag_d is CertifyFlag.NOT_CERTIFIED:
-                    ladder.shrink()
-                    shrinks += 1
-                    continue
-                break
-
-            if status is not None:
-                extras = oracle.end_iteration()
-                trace.append(make_record(k, None, None, False, None, shrinks, flags, base, extras))
-                break
+                if flag is not CertifyFlag.NOT_CERTIFIED:
+                    break
 
             # -- acceptance of the trial point --
-            acc_req = omega * step.increment
-            x_trial = np.ascontiguousarray(x + step.s)
-            f_trial = oracle.request_function(x_trial, acc_req)
-            f_curr = oracle.request_function(x, acc_req)
-            rho = (f_curr - f_trial) / step.increment
-            success = rho >= params.eta1
+            rho = step_norm = delta_k = None
+            success = False
+            if status is None:
+                acc_req = omega * step.increment
+                x_trial = np.ascontiguousarray(x + step.s)
+                f_trial = oracle.request_function(x_trial, acc_req)
+                f_curr = oracle.request_function(x, acc_req)
+                rho = (f_curr - f_trial) / step.increment
+                success = rho >= params.eta1
+                step_norm, delta_k = step.step_norm, step.delta
             extras = oracle.end_iteration()
+            fun_evals, d1, d2, component_evals = (now - then for now, then in zip(_counts(counters), base))
             trace.append(
-                make_record(k, rho, step.step_norm, success, step.delta, shrinks, flags, base, extras)
+                IterRecord(
+                    k=k,
+                    sigma=sigma,
+                    omega=omega,
+                    rho=rho,
+                    step_norm=step_norm,
+                    success=success,
+                    delta_k=delta_k,
+                    eps_ladder=ladder.snapshot(),
+                    shrinks=sum(f == CertifyFlag.NOT_CERTIFIED for _, f in flags),
+                    flags=tuple(flags),
+                    fun_evals=fun_evals,
+                    deriv_evals=((1, d1), (2, d2)),
+                    component_evals=component_evals,
+                    extras=extras,
+                    x_inf=float(np.max(np.abs(x))) if x.size else 0.0,
+                )
             )
+            if status is not None:
+                break
             if success:
                 x = x_trial
             sigma, omega = sigma_omega_update(rho, sigma, params)
@@ -266,8 +260,6 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
         else:
             status = Termination(TerminationKind.BUDGET, delta_prev, params.max_iter)
     except (RuntimeError, ValueError) as exc:
-        if isinstance(exc, RunAborted):
-            raise
         raise RunAborted(f"run aborted at iteration {len(trace)}: {exc}", trace, counters) from exc
 
     return RunReport(

@@ -38,6 +38,7 @@ __all__ = [
     "SubsampledOracle",
     "failure_probability",
     "sample_size",
+    "sampling_failures",
     "subsampled_eval",
 ]
 
@@ -161,6 +162,34 @@ def sample_size(kappa: float, eps_j: float, t: float, d: int, N: int) -> int:
     ratio = kappa / eps_j
     raw = math.ceil(4.0 * ratio * (2.0 * ratio + 1.0 / 3.0) * math.log(d / t))
     return min(N, max(1, raw))
+
+
+def _dimension_factor(j: int, n: int) -> int:
+    """Dimension of the Bernstein bound for an order-j estimate in R^n."""
+    return {0: 2, 1: n + 1, 2: 2 * n}[j]
+
+
+def _error_norm(j: int, err) -> float:
+    """Size of an order-j error: absolute, Euclidean or spectral."""
+    if j == 0:
+        return abs(err)
+    if j == 1:
+        return float(np.linalg.norm(err))
+    return float(np.max(np.abs(np.linalg.eigvalsh(err))))
+
+
+def sampling_failures(dataset: Dataset, x: np.ndarray, j: int, eps_j: float, t: float, trials: int, rng):
+    """Monte-Carlo check of the order-j sample size at x.
+
+    Draws ``trials`` estimates of the oracle's sample size for accuracy
+    eps_j and failure probability t from ``rng`` and counts those whose
+    error from the full sum exceeds eps_j.  Returns (sample size,
+    failures); the failure rate should not exceed t beyond sampling noise.
+    """
+    m = sample_size(dataset.kappa_bounds[j], eps_j, t, _dimension_factor(j, dataset.dim), dataset.size)
+    exact = subsampled_eval(dataset, x, j, dataset.size, rng)  # the full sum draws nothing
+    failures = sum(_error_norm(j, subsampled_eval(dataset, x, j, m, rng) - exact) > eps_j for _ in range(trials))
+    return m, failures
 
 
 def subsampled_eval(dataset: Dataset, x: np.ndarray, j: int, m: int, rng, counters: EvalCounters | None = None):
@@ -357,12 +386,9 @@ class SubsampledOracle(Oracle):
     def for_eps(cls, dataset: Dataset, config: StochasticConfig, eps: float, orders: Orders):
         return cls(dataset, config, config.resolve_t(eps, orders))
 
-    def _dimension_factor(self, j: int) -> int:
-        n = self.dataset.dim
-        return {0: 2, 1: n + 1, 2: 2 * n}[j]
-
     def _sampled(self, x, j, eps):
-        m = sample_size(self.dataset.kappa_bounds[j], eps, self.t, self._dimension_factor(j), self.dataset.size)
+        ds = self.dataset
+        m = sample_size(ds.kappa_bounds[j], eps, self.t, _dimension_factor(j, ds.dim), ds.size)
         self._iter_sizes[j] = m
         self._iter_requests += 1
         if m < self.dataset.size:

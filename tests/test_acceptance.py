@@ -37,9 +37,8 @@ from dynreg import (
     model_taylor_derivs,
     model_value,
     run,
-    sample_size,
+    sampling_failures,
     sigmoid_ls_derivs,
-    subsampled_eval,
     trust_region_min,
 )
 from dynreg.checks import budget_violations, counting_violations, shrink_violations
@@ -402,6 +401,7 @@ def test_c6_counting_inequalities(bound_battery, exact_solves):
             for v in shrink_violations(rep, budget.omega_min):
                 failures.append(f"{label}: {v}")
         for rec in rep.trace:
+            assert rec.shrinks == sum(flag == 0 for _, flag in rec.flags)
             per_order = dict(rec.deriv_evals)
             if any(c > 1 + rec.shrinks for c in per_order.values()):
                 failures.append(f"{label}: iteration {rec.k} recomputed beyond 1+shrinks")
@@ -424,26 +424,12 @@ def test_c7_sampling_validation(big_dataset):
     t = 0.05
     trials = 2000
     threshold = t + 3.0 * math.sqrt(t * (1.0 - t) / trials)
-    dims = {0: 2, 1: ds.dim + 1, 2: 2 * ds.dim}
     x = np.zeros(ds.dim)
     rates = {}
     ok = True
     for j in (0, 1, 2):
         eps_j = 0.1 * ds.kappa_bounds[j]
-        m = sample_size(ds.kappa_bounds[j], eps_j, t, dims[j], ds.size)
-        exact = subsampled_eval(ds, x, j, ds.size, np.random.default_rng(0))
-        rng = np.random.default_rng([99, j])
-        failures = 0
-        for _ in range(trials):
-            approx = subsampled_eval(ds, x, j, m, rng)
-            if j == 0:
-                err = abs(approx - exact)
-            elif j == 1:
-                err = float(np.linalg.norm(approx - exact))
-            else:
-                err = float(np.max(np.abs(np.linalg.eigvalsh(approx - exact))))
-            if err > eps_j:
-                failures += 1
+        _, failures = sampling_failures(ds, x, j, eps_j, t, trials, np.random.default_rng([99, j]))
         rates[j] = failures / trials
         ok = ok and rates[j] <= threshold
     elapsed = time.perf_counter() - t0

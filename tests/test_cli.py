@@ -312,16 +312,26 @@ class TestScaling:
             blobs.append((out / "scaling.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_aborted_run_exit_code(self, tmp_path, capsys):
+        payload = {"problem": {"name": "rosenbrock", "x0": [1e200, 1.0]}, "orders": {"p": 2, "q": 1}}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        code = main(["scaling", "--config", str(cfg), "--eps-grid", "1e-1:1e-2:2", "--out", str(out)])
+        assert code == EXIT_ABORTED
+        assert "status=aborted" in capsys.readouterr().err
+
 
 class TestSampleCheck:
+    PAYLOAD = {
+        "problem": {"name": "sigmoid-synthetic", "N": 400, "n": 4, "data_seed": 3},
+        "oracle": {"kind": "subsampled", "t": 0.05},
+        "algo": {"eps": 1e-2},
+        "seed": 1,
+    }
+
     def test_small_dataset(self, tmp_path):
-        payload = {
-            "problem": {"name": "sigmoid-synthetic", "N": 400, "n": 4, "data_seed": 3},
-            "oracle": {"kind": "subsampled", "t": 0.05},
-            "algo": {"eps": 1e-2},
-            "seed": 1,
-        }
-        cfg = write_config(tmp_path, payload)
+        cfg = write_config(tmp_path, self.PAYLOAD)
         out = tmp_path / "o"
         code = main(
             [
@@ -343,3 +353,13 @@ class TestSampleCheck:
         for row in rows:
             assert row["ok"] == "True"
             assert float(row["rate"]) <= float(row["threshold"])
+
+    def test_zero_trials_rejected(self, tmp_path):
+        cfg = write_config(tmp_path, self.PAYLOAD)
+        args = ["sample-check", "--config", str(cfg), "--trials", "0", "--out", str(tmp_path / "o")]
+        assert main(args) == EXIT_CONFIG
+
+    def test_nonpositive_fraction_rejected(self, tmp_path):
+        cfg = write_config(tmp_path, self.PAYLOAD)
+        args = ["sample-check", "--config", str(cfg), "--eps-frac", "0", "--out", str(tmp_path / "o")]
+        assert main(args) == EXIT_CONFIG
