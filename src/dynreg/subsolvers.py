@@ -5,9 +5,11 @@ model behind the p = 2 step share one solver core.  In the eigenbasis of
 H, with d(lam) = -(H + lam I)^-1 g, both ask for a multiplier
 lam >= max(0, -lambda_min(H)) with ||d(lam)|| = a + b lam: (a, b) is
 (delta, 0) for the trust region and (0, 2/sigma) for the cubic model
-(Moré-Sorensen secular equation, hard case included).  On that core sit
-the ball-constrained optimality measure and the model descent step used by
-the driver.
+(Moré-Sorensen secular equation, hard case included).  The spectral setup
+of (g, H) is kept for the next call, so the measure, the step and a
+rejected step's resolve on the same derivatives share one
+eigendecomposition.  On that core sit the ball-constrained optimality
+measure and the model descent step used by the driver.
 
 All solvers return global minimizers together with the multiplier, so KKT
 and positive-semidefiniteness certificates can be checked directly.
@@ -93,6 +95,81 @@ class StepResult:
         )
 
 
+@dataclass(frozen=True, slots=True)
+class _Spectrum:
+    """The part of the secular solve that depends on (g, H) alone.
+
+    ``g_key`` and ``H_key`` are the bytes of the inputs (the memo key); the
+    arrays are read-only, since warm calls share them.
+    """
+
+    g_key: bytes
+    H_key: bytes
+    w: np.ndarray
+    Q: np.ndarray
+    gh: np.ndarray
+    neg_gh: np.ndarray
+    gn: float
+    lam_low: float
+    shifted: np.ndarray
+    leftmost_free: bool
+    dh: np.ndarray
+    nd: float
+
+
+# the last spectral setup: the driver solves the measure and the step on the
+# same (g, H), and again after a rejection, so one entry catches the repeats
+_last_spectrum: _Spectrum | None = None
+
+
+def _spectrum(g, H) -> _Spectrum:
+    """Eigenpairs of H, Q^T g and the step at the shift, reused while (g, H) repeat.
+
+    The memo is keyed on the exact contents of g and H: the oracle hands out
+    fresh arrays for equal derivatives, so identity never repeats, and an
+    array mutated in place no longer matches.
+    """
+    global _last_spectrum
+    g = np.asarray(g, dtype=float)
+    H = np.asarray(H, dtype=float)
+    g_key, H_key = g.tobytes(), H.tobytes()
+    last = _last_spectrum
+    if last is not None and last.g_key == g_key and last.H_key == H_key:
+        return last
+    w, Q = np.linalg.eigh(0.5 * (H + H.T))
+    gh = Q.T @ g
+    gn = math.sqrt(float(gh @ gh))
+    if not math.isfinite(gn):
+        raise SubsolverError("gradient norm is not finite", {"gradient_norm": gn})
+    lam_low = max(0.0, -float(w[0]))
+    shifted = w + lam_low
+    # every tolerance is relative (to ||H||, ||Q^T g|| or tau), so solving
+    # (c g, c H) gives the d of (g, H) at any scale c
+    critical = shifted <= 1e-12 * max(abs(float(w[0])), abs(float(w[-1])))
+    free = ~critical
+    neg_gh = -gh
+    dh = np.zeros_like(gh)
+    dh[free] = neg_gh[free] / shifted[free]
+    for arr in (w, Q, gh, neg_gh, shifted, dh):
+        arr.setflags(write=False)
+    sp = _Spectrum(
+        g_key=g_key,
+        H_key=H_key,
+        w=w,
+        Q=Q,
+        gh=gh,
+        neg_gh=neg_gh,
+        gn=gn,
+        lam_low=lam_low,
+        shifted=shifted,
+        leftmost_free=bool(np.abs(gh[critical]).max(initial=0.0) <= 1e-12 * gn),
+        dh=dh,
+        nd=math.sqrt(float(dh @ dh)),
+    )
+    _last_spectrum = sp
+    return sp
+
+
 def _eig_min(g, H, a: float, b: float) -> ModelSolution:
     """Global minimizer of g.d + d.H.d/2 whose multiplier lam solves ||d|| = a + b lam.
 
@@ -106,39 +183,29 @@ def _eig_min(g, H, a: float, b: float) -> ModelSolution:
     ||Q^T g|| makes ||d|| <= a + b lam.  In the hard case (no gradient in
     the leftmost eigenspace and ||d(lam_low)|| short of the target) the step
     is completed along the leftmost eigenvector.  ``value`` is the
-    quadratic part only.
+    quadratic part only.  The spectral setup comes from ``_spectrum``.
     """
-    H = np.asarray(H, dtype=float)
-    w, Q = np.linalg.eigh(0.5 * (H + H.T))
-    gh = Q.T @ np.asarray(g, dtype=float)
-    gn = math.sqrt(float(gh @ gh))
-    if not math.isfinite(gn):
-        raise SubsolverError("gradient norm is not finite", {"a": a, "b": b})
-    lam_low = max(0.0, -float(w[0]))
-    shifted = w + lam_low
-    # every tolerance is relative (to ||H||, ||Q^T g|| or tau), so solving
-    # (c g, c H) gives the d of (g, H) at any scale c
-    critical = shifted <= 1e-12 * max(abs(float(w[0])), abs(float(w[-1])))
-    free = ~critical
-    dh = np.zeros_like(gh)
-    dh[free] = -gh[free] / shifted[free]
-    nd = math.sqrt(float(dh @ dh))
-    a0 = a + b * lam_low  # target norm at tau = 0
+    sp = _spectrum(g, H)
+    gh, shifted, dh, nd = sp.gh, sp.shifted, sp.dh, sp.nd
+    a0 = a + b * sp.lam_low  # target norm at tau = 0
     tau = 0.0
+    denom = shifted  # shifted + tau at tau = 0: shifted has no -0.0 entry
     hard_case = False
     iters = 0
-    if np.max(np.abs(gh[critical]), initial=0.0) <= 1e-12 * gn and nd <= a0:
-        if lam_low > 0.0:
+    if sp.leftmost_free and nd <= a0:
+        if sp.lam_low > 0.0:
             # boundary completion along the leftmost eigenvector
+            dh = dh.copy()
             dh[0] += math.sqrt(a0 * a0 - nd * nd)
             hard_case = True
     else:
+        neg_gh, gn = sp.neg_gh, sp.gn
         lo = 0.0
         hi = 2.0 * gn / (a0 + math.sqrt(a0 * a0 + 4.0 * b * gn))
         tau = 0.5 * hi
         for iters in range(1, SECULAR_MAX_ITER + 1):
             denom = shifted + tau
-            dh = -gh / denom
+            dh = neg_gh / denom
             n2 = float(dh @ dh)
             n = math.sqrt(n2)
             target = a0 + b * tau
@@ -149,18 +216,18 @@ def _eig_min(g, H, a: float, b: float) -> ModelSolution:
             else:
                 hi = tau
             # psi' = b/n + (a + b lam) sum(gh^2/(w + lam)^3) / n^3
-            dpsi = b / n + target * float(np.sum(dh * dh / denom)) / (n2 * n)
+            dpsi = b / n + target * float((dh * dh / denom).sum()) / (n2 * n)
             cand = tau - (target / n - 1.0) / dpsi
             tau = cand if lo < cand < hi else 0.5 * (lo + hi)
         else:
             raise SubsolverError(
-                "secular iteration exceeded its cap", {"a": a, "b": b, "lam_low": lam_low, "bracket": (lo, hi)}
+                "secular iteration exceeded its cap", {"a": a, "b": b, "lam_low": sp.lam_low, "bracket": (lo, hi)}
             )
 
-    value = float(gh @ dh) + 0.5 * float(np.sum(w * dh * dh))
-    kkt = math.sqrt(float(np.sum(((shifted + tau) * dh + gh) ** 2)))
+    value = float(gh @ dh) + 0.5 * float((sp.w * dh * dh).sum())
+    kkt = math.sqrt(float(((denom * dh + gh) ** 2).sum()))
     return ModelSolution(
-        d=Q @ dh, value=value, lam=lam_low + tau, hard_case=hard_case, kkt_residual=kkt, iterations=iters
+        d=sp.Q @ dh, value=value, lam=sp.lam_low + tau, hard_case=hard_case, kkt_residual=kkt, iterations=iters
     )
 
 

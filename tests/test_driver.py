@@ -180,6 +180,13 @@ class TestRosenbrock:
         phi = optimality_measure(exact, delta, 2).phi
         assert phi <= 1e-4 * chi(2, delta) * (1.0 + 1e-12)
 
+    def test_one_decomposition_per_hessian(self, eigh_calls):
+        # the measure, the step and every rejected-step resolve on one
+        # (g, H) share its eigendecomposition
+        report = run(ExactOracle(make_rosenbrock()), np.array([-1.2, 1.0]), AlgoParams(eps=1e-6), Orders(p=2, q=2))
+        assert report.status.kind is not TerminationKind.BUDGET
+        assert len(eigh_calls) == report.counters.deriv_evals[2]
+
     def test_budget_status(self):
         prob = make_rosenbrock()
         report = run(ExactOracle(prob), np.array([-1.2, 1.0]), AlgoParams(eps=1e-8, max_iter=3), Orders(p=1, q=1))

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from dynreg import cli, driver
+from dynreg import cli, driver, subsolvers
 from dynreg.bounds import ComplexityBudget
 from dynreg.certify import CertifyFlag
 
@@ -24,11 +24,12 @@ def tracing(monkeypatch):
     return importlib.import_module("tracing")
 
 
-def test_hooks_see_a_shrinking_solve(tracing):
+def test_hooks_see_a_shrinking_solve(tracing, monkeypatch):
     raw = {"problem": {"name": "quartic"}, "orders": {"p": 2, "q": 1}, "oracle": {"kind": "noisy"}}
     cfg = cli.RunConfig.from_dict(raw)
     params, orders = cfg.build_params(), cfg.build_orders()
     problem, dataset, x0 = cli.build_problem(cfg)
+    monkeypatch.setattr(subsolvers, "_last_spectrum", None)
     tracer = tracing.Tracer()
     oracle = cli.build_oracle(cfg, tracer.wrap_problem(problem), dataset, params, orders)
     tracer.install()
@@ -46,6 +47,9 @@ def test_hooks_see_a_shrinking_solve(tracing):
     assert sum(metrics[f"certify.flag.{flag.name}"] for flag in CertifyFlag) == calls
     assert metrics["certify.flag.NOT_CERTIFIED"] == report.total_shrinks
     assert tracing.layer_split_ok(metrics)
+    # one decomposition per Hessian, all inside the subsolver spans
+    assert metrics["subsolvers.eigh.calls"] == report.counters.deriv_evals[2]
+    assert {span[0] for span in tracer.spans if span[0].endswith(".eigh")} == {"subsolvers.eigh"}
 
     budget = cli.summarize(report, problem, x0)["budget"]
     assert budget is not None

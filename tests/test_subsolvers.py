@@ -14,6 +14,7 @@ from dynreg import (
     optimality_measure,
     trust_region_min,
 )
+from dynreg import subsolvers
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -286,6 +287,75 @@ class TestNonFiniteData:
             solver(np.array([1.0, 0.5]), np.diag([1.0, -2.0]), radius)
 
 
+# (solver, radius, second radius); both radii keep HARD_CASE in the hard case
+MEMO_SOLVERS = [(trust_region_min, 1.0, 0.25), (cubic_min, 2.0, 7.0)]
+HARD_CASE = (np.array([0.0, 0.1, 0.2]), np.diag([-2.0, 3.0, 5.0]))
+
+
+class TestSpectralMemo:
+    """Solves on a repeated (g, H) reuse one spectral setup and give the cold answer."""
+
+    @staticmethod
+    def cold(solver, g, H, radius):
+        subsolvers._last_spectrum = None
+        return solver(g.copy(), H.copy(), radius)
+
+    @staticmethod
+    def assert_same(warm, cold):
+        np.testing.assert_array_equal(warm.d, cold.d)
+        for field in ("lam", "value", "kkt_residual", "iterations", "hard_case"):
+            assert getattr(warm, field) == getattr(cold, field), field
+
+    @pytest.mark.parametrize("solver, radius, _", MEMO_SOLVERS)
+    def test_warm_call_equals_cold(self, eigh_calls, solver, radius, _):
+        rng = np.random.default_rng(800)
+        g, H = rng.standard_normal(6), random_symmetric(rng, 6)
+        cold = self.cold(solver, g, H, radius)
+        warm = solver(g, H, radius)
+        assert len(eigh_calls) == 1
+        self.assert_same(warm, cold)
+        # the caller owns the returned step
+        warm.d[:] = 0.0
+        self.assert_same(solver(g, H, radius), cold)
+        assert len(eigh_calls) == 1
+
+    @pytest.mark.parametrize("solver, radius, other", MEMO_SOLVERS)
+    def test_hard_case_twice_then_another_radius(self, eigh_calls, solver, radius, other):
+        g, H = HARD_CASE
+        cold = self.cold(solver, g, H, radius)
+        assert cold.hard_case
+        self.assert_same(solver(g, H, radius), cold)
+        other_cold = self.cold(solver, g, H, other)
+        solver(g, H, radius)
+        before = len(eigh_calls)
+        # the completion of the first solve left the shared setup intact
+        other_warm = solver(g, H, other)
+        assert len(eigh_calls) == before
+        assert other_warm.hard_case
+        self.assert_same(other_warm, other_cold)
+        self.assert_same(solver(g, H, radius), cold)
+
+    @pytest.mark.parametrize("solver, radius, _", MEMO_SOLVERS)
+    def test_in_place_mutation_is_never_stale(self, eigh_calls, solver, radius, _):
+        rng = np.random.default_rng(801)
+        g, H = rng.standard_normal(4), random_symmetric(rng, 4)
+        solver(g, H, radius)
+        g[-1] += 1.0
+        self.assert_same(solver(g, H, radius), self.cold(solver, g, H, radius))
+        H[-1, -2] += 0.5
+        H[-2, -1] += 0.5
+        self.assert_same(solver(g, H, radius), self.cold(solver, g, H, radius))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("solver, radius, _", MEMO_SOLVERS)
+    def test_overflowed_gradient_raises_when_warm(self, eigh_calls, solver, radius, _):
+        H = np.array([[1e300]])
+        solver(np.array([1.0]), H, radius)
+        for _ in range(2):
+            with pytest.raises(SubsolverError):
+                solver(np.array([1e305]), H, radius)
+
+
 class TestOptimalityMeasure:
     def test_first_order(self):
         b = DerivativeBundle(origin=np.zeros(2), grad=np.array([3.0, 4.0]))
@@ -367,6 +437,26 @@ class TestModelDescentStep:
         assert step.measure_increment <= 1e-8
         bound = 0.5 * step.step_norm**2 / 2.0  # theta ||s||^2 / (1+beta)!
         assert step.measure_increment <= bound * step.delta + 1e-15
+
+    def test_grid_radii_share_one_decomposition(self, eigh_calls, monkeypatch):
+        # the model measure passes at the first radius for an exact model
+        # minimizer, so a ball polynomial that fails it there forces the
+        # grid on; the cubic solve and all measure radii take two eigh calls
+        measures = []
+        measure = subsolvers.optimality_measure
+
+        def spy(*args):
+            measures.append(args[1])
+            return measure(*args)
+
+        real_chi = subsolvers.chi
+        monkeypatch.setattr(subsolvers, "chi", lambda q, delta: -1.0 if delta == 1.0 else real_chi(q, delta))
+        monkeypatch.setattr(subsolvers, "optimality_measure", spy)
+        b = DerivativeBundle(origin=np.zeros(2), grad=np.array([-3e-4, 1e-4]), hess=np.diag([1.0, 2.0]))
+        step = model_descent_step(b, 2.0, Orders(p=2, q=2), eps=1e-2, mu=1.0, theta=0.5)
+        assert step.measure_increment is not None
+        assert len(measures) >= 2 and step.delta == measures[-1] < 1.0
+        assert len(eigh_calls) == 2
 
     def test_degree_two_zero_step_at_second_order_point(self):
         b = DerivativeBundle(origin=np.zeros(2), grad=np.zeros(2), hess=np.eye(2))
