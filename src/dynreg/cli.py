@@ -51,9 +51,16 @@ _PROBLEM_KEYS = {
     "sigmoid-synthetic": {"name", "N", "n", "data_seed", "x0"},
     "sigmoid-file": {"name", "path", "x0"},
 }
+_ORDERS_KEYS = {"p", "q", "beta"}
 _ORACLE_KEYS = {"kind", "noise_fraction", "t_bar", "t"}
 _ALGO_KEYS = {f for f in AlgoParams.__dataclass_fields__}
 _TOP_KEYS = {"problem", "orders", "oracle", "algo", "seed"}
+# JSON types of the scalar values, by key; a bool is not a number here
+_SCALAR_TYPES = {
+    **dict.fromkeys(_ALGO_KEYS - {"schedule"} | {"box_radius", "beta", "noise_fraction", "t_bar"}, (int, float)),
+    **dict.fromkeys(("seed", "n", "N", "data_seed", "p", "q", "max_iter"), int),
+    "t": (int, float, type(None)),
+}
 
 
 class ConfigError(ValueError):
@@ -75,13 +82,12 @@ class RunConfig:
         unknown = set(raw) - _TOP_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(
-            problem=dict(raw.get("problem", {"name": "quadratic"})),
-            orders=dict(raw.get("orders", {"p": 1, "q": 1, "beta": 1.0})),
-            oracle=dict(raw.get("oracle", {"kind": "exact"})),
-            algo=dict(raw.get("algo", {})),
-            seed=int(raw.get("seed", 0)),
-        )
+        cfg = cls(seed=raw.get("seed", 0))
+        for section in ("problem", "orders", "oracle", "algo"):
+            value = raw.get(section, getattr(cfg, section))
+            if not isinstance(value, dict):
+                raise ConfigError(f"{section} must be a JSON object")
+            setattr(cfg, section, dict(value))
         cfg.validate()
         return cfg
 
@@ -89,30 +95,24 @@ class RunConfig:
         name = self.problem.get("name")
         if name not in _PROBLEM_KEYS:
             raise ConfigError(f"unknown problem {name!r}; choose from {sorted(_PROBLEM_KEYS)}")
-        unknown = set(self.problem) - _PROBLEM_KEYS[name]
-        if unknown:
-            raise ConfigError(f"unknown problem keys for {name}: {sorted(unknown)}")
-        unknown = set(self.orders) - {"p", "q", "beta"}
-        if unknown:
-            raise ConfigError(f"unknown orders keys: {sorted(unknown)}")
         kind = self.oracle.get("kind", "exact")
         if kind not in ("exact", "noisy", "subsampled"):
             raise ConfigError(f"unknown oracle kind {kind!r}")
-        unknown = set(self.oracle) - _ORACLE_KEYS
-        if unknown:
-            raise ConfigError(f"unknown oracle keys: {sorted(unknown)}")
-        unknown = set(self.algo) - _ALGO_KEYS
-        if unknown:
-            raise ConfigError(f"unknown algo keys: {sorted(unknown)}")
+        allowed = {"problem": _PROBLEM_KEYS[name], "orders": _ORDERS_KEYS, "oracle": _ORACLE_KEYS, "algo": _ALGO_KEYS}
+        items = [("seed", self.seed)]
+        for section, keys in allowed.items():
+            values = getattr(self, section)
+            unknown = set(values) - keys
+            if unknown:
+                raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
+            items += values.items()
+        for key, value in items:
+            kinds = _SCALAR_TYPES.get(key)
+            if kinds is not None and (isinstance(value, bool) or not isinstance(value, kinds)):
+                raise ConfigError(f"{key} must be {'an integer' if kinds is int else 'a number'}, got {value!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "problem": dict(self.problem),
-            "orders": dict(self.orders),
-            "oracle": dict(self.oracle),
-            "algo": dict(self.algo),
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     def build_orders(self) -> Orders:
         return Orders(
@@ -122,10 +122,7 @@ class RunConfig:
         )
 
     def build_params(self) -> AlgoParams:
-        algo = dict(self.algo)
-        if "schedule" in algo:
-            algo["schedule"] = Schedule(algo["schedule"])
-        return AlgoParams(**algo)
+        return AlgoParams(**self.algo)
 
 
 def build_problem(cfg: RunConfig) -> tuple[Problem, Dataset | None, np.ndarray]:

@@ -1,6 +1,6 @@
 """The adaptive regularization loop with dynamically controlled accuracy.
 
-One outer iteration measures approximate optimality at the previous radius,
+One outer iteration measures approximate optimality at the fixed radius,
 computes a trial step by globally minimizing the regularized Taylor model,
 certifies the involved increments against the accuracies the oracle
 promised for the derivatives it returned, accepts or rejects the trial
@@ -22,7 +22,7 @@ import numpy as np
 from .certify import CertifyFlag, certify_increment
 from .oracles import AccuracyLadder, EvalCounters, Oracle
 from .params import AlgoParams
-from .subsolvers import model_descent_step, optimality_measure
+from .subsolvers import OPTIMALITY_RADIUS, model_descent_step, optimality_measure
 from .taylor import Orders, chi
 
 
@@ -36,6 +36,8 @@ class TerminationKind(str, Enum):
 
 @dataclass(frozen=True)
 class Termination:
+    """``delta_at_exit`` is ``OPTIMALITY_RADIUS``, or the step norm for strong model optimality."""
+
     kind: TerminationKind
     delta_at_exit: float
     k_final: int
@@ -50,6 +52,7 @@ class IterRecord:
     while measuring optimality or computing the step, before any trial
     point was evaluated).  ``shrinks`` is the number of ``NOT_CERTIFIED``
     entries in ``flags``: every such flag shrank the ladder once.
+    ``delta_k`` is ``OPTIMALITY_RADIUS`` on a complete iteration.
     """
 
     k: int
@@ -152,7 +155,6 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
     eps = params.eps
     sigma = params.sigma0
     omega = params.omega0
-    delta_prev = params.delta_init
     ladder = AccuracyLadder.initial(orders.p, params.gamma_eps, params.kappa_eps, params.schedule)
     long_step = params.mu * eps ** (1.0 / orders.gap)
     kw = params.kappa_omega
@@ -170,26 +172,27 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
             flags = []
             xi_abs = 0.5 * omega * eps
 
-            # -- optimality measure at the previous radius --
+            # -- optimality measure --
             while True:
                 bundle = oracle.request_derivatives(x, ladder.eps, orders.q)
-                measure = optimality_measure(bundle, delta_prev, orders.q)
+                measure = optimality_measure(bundle, OPTIMALITY_RADIUS, orders.q)
                 flag = _certify(
-                    "measure", flags, ladder, delta_prev, measure.phi, bundle.achieved_acc, orders.q, omega, xi_abs
+                    "measure", flags, ladder, OPTIMALITY_RADIUS, measure.phi,
+                    bundle.achieved_acc, orders.q, omega, xi_abs,
                 )
                 if flag is not CertifyFlag.NOT_CERTIFIED:
                     break
             if flag is not CertifyFlag.RELATIVE_OK:
-                status = Termination(TerminationKind.NEGLIGIBLE_INCREMENT, delta_prev, k, measure.phi)
-            elif measure.phi <= eps / (1.0 + omega) * chi(orders.q, delta_prev):
-                status = Termination(TerminationKind.OPTIMAL_MEASURE, delta_prev, k, measure.phi)
+                status = Termination(TerminationKind.NEGLIGIBLE_INCREMENT, OPTIMALITY_RADIUS, k, measure.phi)
+            elif measure.phi <= eps / (1.0 + omega) * chi(orders.q, OPTIMALITY_RADIUS):
+                status = Termination(TerminationKind.OPTIMAL_MEASURE, OPTIMALITY_RADIUS, k, measure.phi)
 
             # -- step computation on the regularized model --
             while status is None:
                 bundle = oracle.request_derivatives(x, ladder.eps, orders.p)
                 step = model_descent_step(bundle, sigma, orders, eps, params.mu, params.theta)
                 if step.zero_step:
-                    status = Termination(TerminationKind.ZERO_STEP, delta_prev, k)
+                    status = Termination(TerminationKind.ZERO_STEP, OPTIMALITY_RADIUS, k)
                     break
                 if orders.p == 1:
                     # closed-form global minimizer: the relative bound follows
@@ -213,14 +216,14 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
                 if step.step_norm >= long_step:
                     break
                 flag = _certify(
-                    "model", flags, ladder, step.delta, max(0.0, step.measure_increment),
+                    "model", flags, ladder, OPTIMALITY_RADIUS, max(0.0, step.measure_increment),
                     step.model_acc, orders.q, omega, xi_d_scale * omega * eps,
                 )
                 if flag is not CertifyFlag.NOT_CERTIFIED:
                     break
 
             # -- acceptance of the trial point --
-            rho = step_norm = delta_k = None
+            rho = step_norm = None
             success = False
             if status is None:
                 acc_req = omega * step.increment
@@ -229,7 +232,7 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
                 f_curr = oracle.request_function(x, acc_req)
                 rho = (f_curr - f_trial) / step.increment
                 success = rho >= params.eta1
-                step_norm, delta_k = step.step_norm, step.delta
+                step_norm = step.step_norm
             extras = oracle.end_iteration()
             fun_evals, d1, d2, component_evals = (now - then for now, then in zip(_counts(counters), base))
             trace.append(
@@ -240,7 +243,7 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
                     rho=rho,
                     step_norm=step_norm,
                     success=success,
-                    delta_k=delta_k,
+                    delta_k=None if rho is None else OPTIMALITY_RADIUS,
                     eps_ladder=ladder.snapshot(),
                     shrinks=sum(f == CertifyFlag.NOT_CERTIFIED for _, f in flags),
                     flags=tuple(flags),
@@ -256,9 +259,8 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
             if success:
                 x = x_trial
             sigma, omega = sigma_omega_update(rho, sigma, params)
-            delta_prev = step.delta
         else:
-            status = Termination(TerminationKind.BUDGET, delta_prev, params.max_iter)
+            status = Termination(TerminationKind.BUDGET, OPTIMALITY_RADIUS, params.max_iter)
     except (RuntimeError, ValueError) as exc:
         raise RunAborted(f"run aborted at iteration {len(trace)}: {exc}", trace, counters) from exc
 

@@ -25,8 +25,8 @@ class AlgoParams:
     0 < eta1 <= eta2 < 1, 0 < gamma1 < 1 < gamma2 < gamma3,
     sigma_min in (0, sigma0], alpha in (0, 1),
     kappa_omega in (0, alpha*eta1/2], theta > 0, mu in (0, 1],
-    vartheta in (0, 1), delta_init in (0, 1], eps in (0, 1),
-    gamma_eps in (0, 1), kappa_eps > 0.
+    vartheta in (0, 1), eps in (0, 1), gamma_eps in (0, 1), kappa_eps > 0.
+    The optimality radius is no parameter: it is fixed at one.
     """
 
     eta1: float = 0.25
@@ -41,7 +41,6 @@ class AlgoParams:
     theta: float = 0.5
     mu: float = 1.0
     vartheta: float = 0.5
-    delta_init: float = 1.0
     eps: float = 1e-3
     gamma_eps: float = 0.1
     kappa_eps: float = 1.0
@@ -63,7 +62,6 @@ class AlgoParams:
             (self.theta > 0.0, "theta must be positive"),
             (0.0 < self.mu <= 1.0, "mu must lie in (0, 1]"),
             (0.0 < self.vartheta < 1.0, "vartheta must lie in (0, 1)"),
-            (0.0 < self.delta_init <= 1.0, "delta_init must lie in (0, 1]"),
             (0.0 < self.eps < 1.0, "eps must lie in (0, 1)"),
             (0.0 < self.gamma_eps < 1.0, "gamma_eps must lie in (0, 1)"),
             (self.kappa_eps > 0.0, "kappa_eps must be positive"),

@@ -39,6 +39,8 @@ def make_quadratic(a, name: str = "quadratic") -> Problem:
     positive semidefinite matrix.  L = ||A|| for the gradient and exactly 0
     for the (constant) Hessian."""
     a = np.asarray(a, dtype=float)
+    if a.size == 0:
+        raise ValueError("the dimension must be at least 1")
     if a.ndim == 1:
         if np.any(a < 0.0):
             raise ValueError("diagonal entries must be nonnegative")
@@ -101,6 +103,8 @@ def make_quartic(n: int, box_radius: float = 3.0) -> Problem:
     Hessian: 6 R).  Callers checking worst-case bounds must keep the run
     inside that box.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if box_radius <= 0.0:
         raise ValueError("box_radius must be positive")
     r = float(box_radius)

@@ -11,6 +11,12 @@ rejected step's resolve on the same derivatives share one
 eigendecomposition.  On that core sit the ball-constrained optimality
 measure and the model descent step used by the driver.
 
+Optimality is measured at one radius, ``OPTIMALITY_RADIUS`` = 1: at the
+exact global model minimizer with q <= 2, phi(delta)/chi_q(delta) never
+grows with delta (for q = 1 the radius cancels; for q = 2 the model Hessian
+is positive semidefinite, so phi is concave), so a test that fails at 1
+fails at every radius in (0, 1].
+
 All solvers return global minimizers together with the multiplier, so KKT
 and positive-semidefiniteness certificates can be checked directly.
 """
@@ -34,7 +40,7 @@ from .taylor import (
 
 SECULAR_RTOL = 1e-12
 SECULAR_MAX_ITER = 200
-DELTA_GRID = tuple(0.5**i for i in range(21))
+OPTIMALITY_RADIUS = 1.0
 
 
 class SubsolverError(RuntimeError):
@@ -63,7 +69,6 @@ class MeasureResult:
 
     phi: float
     d: np.ndarray
-    delta: float
 
 
 @dataclass
@@ -78,7 +83,6 @@ class StepResult:
     s: np.ndarray | None
     step_norm: float
     increment: float
-    delta: float
     measure_increment: float | None
     model_acc: dict[int, float] | None = None
     zero_step: bool = False
@@ -89,7 +93,6 @@ class StepResult:
             s=np.zeros(n),
             step_norm=0.0,
             increment=0.0,
-            delta=1.0,
             measure_increment=None,
             zero_step=True,
         )
@@ -274,13 +277,13 @@ def optimality_measure(bundle: DerivativeBundle, delta: float, q: int) -> Measur
         g = bundle.grad
         gn = math.sqrt(float(g @ g))
         if gn == 0.0:
-            return MeasureResult(phi=0.0, d=np.zeros_like(g), delta=delta)
-        return MeasureResult(phi=gn * delta, d=(-delta / gn) * g, delta=delta)
+            return MeasureResult(phi=0.0, d=np.zeros_like(g))
+        return MeasureResult(phi=gn * delta, d=(-delta / gn) * g)
     if q == 2:
         if bundle.hess is None:
             raise ValueError("bundle has no Hessian")
         tr = trust_region_min(bundle.grad, bundle.hess, delta)
-        return MeasureResult(phi=max(0.0, -tr.value), d=tr.d, delta=delta)
+        return MeasureResult(phi=max(0.0, -tr.value), d=tr.d)
     raise ValueError("q must be 1 or 2")
 
 
@@ -296,10 +299,11 @@ def model_descent_step(
 
     Degree one has the closed-form global minimizer along -g; degree two
     uses the certified cubic solver.  When the step norm already reaches
-    mu * eps^(1/(p-q+beta)) the optimality radius is arbitrary and set to
-    one; otherwise the smallest-index radius from a fixed dyadic grid that
-    satisfies the model-measure termination test is returned together with
-    the measure data, which the driver still needs to certify.
+    mu * eps^(1/(p-q+beta)) the step is returned alone.  A shorter step
+    must pass the model-measure termination test at ``OPTIMALITY_RADIUS``
+    and is returned with the measure, which the driver still needs to
+    certify; a failed test raises ``SubsolverError``, since no smaller
+    radius can pass (see the module docstring).
 
     A zero global minimizer (or a Taylor increment that rounds to zero)
     yields a zero-step marker, which the driver treats as termination.
@@ -316,37 +320,31 @@ def model_descent_step(
         s = (-t / gn) * g
         increment = t * gn
         if t >= long_step:
-            return StepResult(s, t, increment, 1.0, None)
+            return StepResult(s, t, increment, None)
         # model gradient at the minimizer; zero in exact arithmetic
         mg = g * (1.0 - sigma * t**beta / gn)
-        mgn = math.sqrt(float(mg @ mg))
-        bound = theta * t**orders.gap / holder_factorial(p - q, beta)
-        for delta in DELTA_GRID:
-            if mgn * delta <= bound * chi(q, delta):
-                return StepResult(s, t, increment, delta, mgn * delta, model_accuracy(bundle.achieved_acc, t))
+        measure = math.sqrt(float(mg @ mg)) * OPTIMALITY_RADIUS
+        step_norm, model_acc = t, model_accuracy(bundle.achieved_acc, t)
+    else:
+        sol = cubic_min(bundle.grad, bundle.hess, sigma)
+        sn = math.sqrt(float(sol.d @ sol.d))
+        if sn == 0.0:
+            return StepResult.zero(bundle.grad.size)
+        increment = taylor_increment(bundle, sol.d, p)
+        if increment <= 0.0:
+            # descent lost to rounding; by the model-decrease lower bound this
+            # only happens for negligible steps
+            return StepResult.zero(bundle.grad.size)
+        s = sol.d
+        if sn >= long_step:
+            return StepResult(s, sn, increment, None)
+        model = model_taylor_derivs(bundle, s, sigma)
+        measure = optimality_measure(model, OPTIMALITY_RADIUS, q).phi
+        step_norm, model_acc = sn, model.achieved_acc
+    bound = theta * step_norm**orders.gap / holder_factorial(p - q, beta)
+    if measure > bound * chi(q, OPTIMALITY_RADIUS):
         raise SubsolverError(
-            "no grid radius satisfied the model-measure test at the global minimizer",
-            {"p": p, "q": q, "step_norm": t, "measure": mgn},
+            "the model-measure test failed at the global minimizer",
+            {"p": p, "q": q, "step_norm": step_norm, "measure": measure},
         )
-
-    sol = cubic_min(bundle.grad, bundle.hess, sigma)
-    sn = math.sqrt(float(sol.d @ sol.d))
-    if sn == 0.0:
-        return StepResult.zero(bundle.grad.size)
-    increment = taylor_increment(bundle, sol.d, p)
-    if increment <= 0.0:
-        # descent lost to rounding; by the model-decrease lower bound this
-        # only happens for negligible steps
-        return StepResult.zero(bundle.grad.size)
-    if sn >= long_step:
-        return StepResult(sol.d, sn, increment, 1.0, None)
-    model = model_taylor_derivs(bundle, sol.d, sigma)
-    bound = theta * sn**orders.gap / holder_factorial(p - q, beta)
-    for delta in DELTA_GRID:
-        measure = optimality_measure(model, delta, q)
-        if measure.phi <= bound * chi(q, delta):
-            return StepResult(sol.d, sn, increment, delta, measure.phi, model.achieved_acc)
-    raise SubsolverError(
-        "no grid radius satisfied the model-measure test at the global minimizer",
-        {"p": p, "q": q, "step_norm": sn, "measure": measure.phi},
-    )
+    return StepResult(s, step_norm, increment, measure, model_acc)

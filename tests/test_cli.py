@@ -70,7 +70,6 @@ VALID_CONFIGS = st.fixed_dictionaries(
                 "gamma_eps": UNIT,
                 "kappa_eps": POSITIVE,
                 "theta": POSITIVE,
-                "delta_init": st.floats(1e-6, 1.0),
                 "max_iter": st.integers(1, 10**6),
                 "schedule": st.sampled_from(["flexible", "monotonic"]),
             },
@@ -255,6 +254,29 @@ class TestSolve:
     def test_unknown_key_exit(self, tmp_path):
         cfg = write_config(tmp_path, {"bogus": True})
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"seed": None},
+            {"algo": {"eps": "0.1"}},
+            {"algo": {"max_iter": 1.5}},
+            {"oracle": {"kind": "noisy", "noise_fraction": None}},
+            {"algo": None},
+            {"orders": {"p": True, "q": 1}},
+            {"problem": {"name": "quartic", "n": 0}},
+            {"problem": {"name": "quadratic", "diag": []}},
+            {"algo": {"delta_init": 1.0}},
+        ],
+    )
+    def test_config_errors_exit_2(self, tmp_path, capsys, payload):
+        # wrongly typed values, an empty problem and the retired radius
+        # knob stop at config load with an error line, not a traceback
+        cfg = write_config(tmp_path, payload)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
 
 class TestDatasetFile:

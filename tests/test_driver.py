@@ -39,7 +39,7 @@ class TestAlgoParams:
             {"kappa_omega": 0.07},  # exceeds alpha*eta1/2 = 0.0625
             {"eps": 1.0},
             {"mu": 0.0},
-            {"delta_init": 1.5},
+            {"vartheta": 1.0},
         ],
     )
     def test_invalid_rejected(self, kwargs):

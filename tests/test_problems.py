@@ -104,6 +104,16 @@ class TestBuiltinProblems:
         assert prob.lipschitz == {1: 2.0, 2: 0.0}
         assert prob.f_low == 0.0
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_quartic_rejects_empty_dimension(self, n):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            make_quartic(n)
+
+    @pytest.mark.parametrize("a", [np.zeros(0), np.zeros((0, 0))])
+    def test_quadratic_rejects_empty_matrix(self, a):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            make_quadratic(a)
+
     def test_full_batch_equals_sequential_component_mean(self):
         ds = make_synthetic_dataset(150, 3, seed=12)
         prob = make_sigmoid_problem(ds)

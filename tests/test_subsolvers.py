@@ -6,12 +6,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynreg import (
+    AlgoParams,
     DerivativeBundle,
+    ExactOracle,
     Orders,
+    RunAborted,
     SubsolverError,
+    chi,
     cubic_min,
+    make_quadratic,
     model_descent_step,
+    model_taylor_derivs,
     optimality_measure,
+    run,
     trust_region_min,
 )
 from dynreg import subsolvers
@@ -207,6 +214,53 @@ class TestAdversarialSpectra:
 
 
 @st.composite
+def psd_models(draw):
+    """(g, H) with H positive semidefinite: k zero eigenvalues, a gradient
+    that is generic, orthogonal to their eigenspace or 1e-6 off it, and a
+    gradient scale between 1e-3 and 1e3."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(0, n))
+    leftmost = draw(st.sampled_from([0.0, 1e-6, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = np.concatenate([np.zeros(k), rng.uniform(0.01, 2.0, n - k)])
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    gh = rng.standard_normal(n) * 10.0 ** draw(st.integers(-3, 3))
+    gh[:k] *= leftmost
+    return Q @ gh, (Q * w) @ Q.T
+
+
+RADII = [0.5**i for i in range(21)]
+
+
+class TestOneRadius:
+    """At the exact model minimizer no radius below one passes the model-measure test if one does not."""
+
+    SETTINGS = settings(derandomize=True, deadline=None, max_examples=100)
+
+    @SETTINGS
+    @given(model=adversarial_models(), sigma=LOG_UNIFORM)
+    def test_model_hessian_psd_at_cubic_step(self, model, sigma):
+        g, H, scale = model
+        sigma *= scale
+        sol = cubic_min(g, H, sigma)
+        bundle = DerivativeBundle(origin=np.zeros(g.size), grad=g, hess=H)
+        MH = model_taylor_derivs(bundle, sol.d, sigma).hess
+        assert np.linalg.eigvalsh(MH)[0] >= -1e-12 * np.linalg.norm(MH, 2)
+
+    @SETTINGS
+    @given(model=psd_models())
+    def test_measure_over_chi_never_grows_with_radius(self, model):
+        g, H = model
+        bundle = DerivativeBundle(origin=np.zeros(g.size), grad=g, hess=H)
+        ratios = [optimality_measure(bundle, delta, 2).phi / chi(2, delta) for delta in RADII]
+        # RADII shrink, so the ratio may only grow along the list
+        for bigger, smaller in zip(ratios, ratios[1:]):
+            assert bigger <= smaller * (1.0 + 1e-9) + 1e-300
+        first = [optimality_measure(bundle, delta, 1).phi / chi(1, delta) for delta in RADII]
+        assert first == [first[0]] * len(RADII)
+
+
+@st.composite
 def unit_models(draw):
     """(g, H, k) at unit scale, H nonsingular, whose leftmost k eigenvalues
     are equal or 1e-6 apart; the gradient is generic, orthogonal to their
@@ -397,7 +451,7 @@ class TestModelDescentStep:
         np.testing.assert_allclose(step.s, [-0.5, 0.0], atol=1e-15)
         assert step.increment == pytest.approx(1.0, rel=1e-14)
         assert not step.zero_step
-        assert step.delta == 1.0
+        assert step.measure_increment is None  # 0.5 is a long step
 
     def test_degree_one_zero_gradient(self):
         b = DerivativeBundle(origin=np.zeros(2), grad=np.zeros(2))
@@ -423,12 +477,12 @@ class TestModelDescentStep:
         step = model_descent_step(b, 2.0, Orders(p=2, q=1), eps=1e-3, mu=1.0, theta=0.5)
         expected = (math.sqrt(13.0) - 1.0) / 2.0
         assert step.step_norm == pytest.approx(expected, rel=1e-10)
-        assert step.delta == 1.0
         assert step.measure_increment is None
+        assert step.model_acc is None
 
     def test_degree_two_short_step_satisfies_measure_test(self):
         # the exact model minimizer has a vanishing model gradient, so the
-        # measure-based clause holds at the first grid radius
+        # measure-based clause holds at the optimality radius
         b = DerivativeBundle(origin=np.zeros(2), grad=np.array([-3e-4, 0.0]), hess=np.eye(2))
         orders = Orders(p=2, q=1)
         step = model_descent_step(b, 2.0, orders, eps=1e-3, mu=1.0, theta=0.5)
@@ -436,12 +490,12 @@ class TestModelDescentStep:
         assert step.measure_increment is not None
         assert step.measure_increment <= 1e-8
         bound = 0.5 * step.step_norm**2 / 2.0  # theta ||s||^2 / (1+beta)!
-        assert step.measure_increment <= bound * step.delta + 1e-15
+        assert step.measure_increment <= bound * subsolvers.OPTIMALITY_RADIUS + 1e-15  # chi_1(delta) = delta
 
-    def test_grid_radii_share_one_decomposition(self, eigh_calls, monkeypatch):
-        # the model measure passes at the first radius for an exact model
-        # minimizer, so a ball polynomial that fails it there forces the
-        # grid on; the cubic solve and all measure radii take two eigh calls
+    def test_failed_model_measure_raises(self, eigh_calls, monkeypatch):
+        # the model measure passes at the optimality radius for an exact
+        # model minimizer, so only a ball polynomial that fails it there
+        # makes the step raise: after one measure solve, on two eigh calls
         measures = []
         measure = subsolvers.optimality_measure
 
@@ -453,10 +507,15 @@ class TestModelDescentStep:
         monkeypatch.setattr(subsolvers, "chi", lambda q, delta: -1.0 if delta == 1.0 else real_chi(q, delta))
         monkeypatch.setattr(subsolvers, "optimality_measure", spy)
         b = DerivativeBundle(origin=np.zeros(2), grad=np.array([-3e-4, 1e-4]), hess=np.diag([1.0, 2.0]))
-        step = model_descent_step(b, 2.0, Orders(p=2, q=2), eps=1e-2, mu=1.0, theta=0.5)
-        assert step.measure_increment is not None
-        assert len(measures) >= 2 and step.delta == measures[-1] < 1.0
+        with pytest.raises(SubsolverError, match="model-measure test"):
+            model_descent_step(b, 2.0, Orders(p=2, q=2), eps=1e-2, mu=1.0, theta=0.5)
+        assert measures == [1.0]
         assert len(eigh_calls) == 2
+        # the driver aborts on the same failure: ||g|| ~ 0.03 fails the
+        # q = 1 measure at eps = 1e-2 and gives a step shorter than sqrt(eps)
+        oracle = ExactOracle(make_quadratic(np.array([1.0, 2.0])))
+        with pytest.raises(RunAborted, match="model-measure test"):
+            run(oracle, np.array([-3e-2, 5e-3]), AlgoParams(eps=1e-2), Orders(p=2, q=1))
 
     def test_degree_two_zero_step_at_second_order_point(self):
         b = DerivativeBundle(origin=np.zeros(2), grad=np.zeros(2), hess=np.eye(2))
