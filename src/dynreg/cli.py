@@ -67,6 +67,16 @@ class ConfigError(ValueError):
     pass
 
 
+def _finite_number(value) -> bool:
+    """A JSON number (not a bool) that converts to a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 @dataclass
 class RunConfig:
     """Validated run description; round-trips exactly through JSON."""
@@ -79,6 +89,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"the config must be a JSON object, got {type(raw).__name__}")
         unknown = set(raw) - _TOP_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -110,6 +122,10 @@ class RunConfig:
             kinds = _SCALAR_TYPES.get(key)
             if kinds is not None and (isinstance(value, bool) or not isinstance(value, kinds)):
                 raise ConfigError(f"{key} must be {'an integer' if kinds is int else 'a number'}, got {value!r}")
+        for key in ("x0", "diag"):
+            value = self.problem.get(key, [])
+            if not isinstance(value, list) or not all(map(_finite_number, value)):
+                raise ConfigError(f"{key} must be a list of finite numbers, got {value!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

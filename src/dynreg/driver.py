@@ -159,6 +159,8 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
     long_step = params.mu * eps ** (1.0 / orders.gap)
     kw = params.kappa_omega
     xi_d_scale = params.vartheta * (1.0 - kw) / (1.0 + kw) ** 2 * 0.5
+    chi_q = chi(orders.q, OPTIMALITY_RADIUS)
+    not_certified = int(CertifyFlag.NOT_CERTIFIED)
 
     trace: list[IterRecord] = []
     counters = oracle.counters
@@ -184,7 +186,7 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
                     break
             if flag is not CertifyFlag.RELATIVE_OK:
                 status = Termination(TerminationKind.NEGLIGIBLE_INCREMENT, OPTIMALITY_RADIUS, k, measure.phi)
-            elif measure.phi <= eps / (1.0 + omega) * chi(orders.q, OPTIMALITY_RADIUS):
+            elif measure.phi <= eps / (1.0 + omega) * chi_q:
                 status = Termination(TerminationKind.OPTIMAL_MEASURE, OPTIMALITY_RADIUS, k, measure.phi)
 
             # -- step computation on the regularized model --
@@ -234,7 +236,7 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
                 success = rho >= params.eta1
                 step_norm = step.step_norm
             extras = oracle.end_iteration()
-            fun_evals, d1, d2, component_evals = (now - then for now, then in zip(_counts(counters), base))
+            now = _counts(counters)
             trace.append(
                 IterRecord(
                     k=k,
@@ -245,13 +247,13 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
                     success=success,
                     delta_k=None if rho is None else OPTIMALITY_RADIUS,
                     eps_ladder=ladder.snapshot(),
-                    shrinks=sum(f == CertifyFlag.NOT_CERTIFIED for _, f in flags),
+                    shrinks=[f for _, f in flags].count(not_certified),
                     flags=tuple(flags),
-                    fun_evals=fun_evals,
-                    deriv_evals=((1, d1), (2, d2)),
-                    component_evals=component_evals,
+                    fun_evals=now[0] - base[0],
+                    deriv_evals=((1, now[1] - base[1]), (2, now[2] - base[2])),
+                    component_evals=now[3] - base[3],
                     extras=extras,
-                    x_inf=float(np.max(np.abs(x))) if x.size else 0.0,
+                    x_inf=float(np.abs(x).max()) if x.size else 0.0,
                 )
             )
             if status is not None:

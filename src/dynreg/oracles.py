@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -229,12 +230,16 @@ class Oracle:
     is recomputed, and counted, only when the request is strictly tighter.
     A fresh result that is not finite raises ``NonFiniteEvaluationError``
     and is not cached.  Only the few most recent points are retained.
+    Each point keeps one derivative bundle per ``upto``, with read-only
+    arrays and the Hessian symmetrized once, and builds a new one only
+    after one of its orders is recomputed.
     """
 
     def __init__(self):
         self.counters = EvalCounters()
         self._fun_cache: OrderedDict[bytes, tuple[float, float]] = OrderedDict()
-        self._deriv_cache: OrderedDict[bytes, dict[int, tuple]] = OrderedDict()
+        # per point: the (tensor, promise) of each order and the bundle of each upto
+        self._deriv_cache: OrderedDict[bytes, tuple[dict[int, tuple], dict[int, DerivativeBundle]]] = OrderedDict()
 
     # -- subclass hooks ----------------------------------------------------
     def _compute_function(self, x: np.ndarray, eps0: float) -> tuple[float, float]:
@@ -271,36 +276,52 @@ class Oracle:
         return value
 
     def request_derivatives(self, x: np.ndarray, eps: dict[int, float], upto: int) -> DerivativeBundle:
+        """The bundle of orders 1..upto at x, built only when an order is recomputed.
+
+        Every request served from the same cache state gets the same bundle,
+        so its arrays are read-only and callers must not modify it.
+        """
         if upto not in (1, 2):
             raise ValueError("upto must be 1 or 2")
         x = np.ascontiguousarray(x, dtype=float)
         key = x.tobytes()
-        per_point = self._deriv_cache.get(key)
-        if per_point is None:
-            per_point = {}
-            self._deriv_cache[key] = per_point
-        self._deriv_cache.move_to_end(key)
+        point = self._deriv_cache.get(key)
+        if point is None:
+            point = self._deriv_cache[key] = ({}, {})
+        else:
+            self._deriv_cache.move_to_end(key)
         while len(self._deriv_cache) > _CACHE_POINTS:
             self._deriv_cache.popitem(last=False)
 
-        tensors = {}
-        acc = {}
+        entries, bundles = point
         for j in range(1, upto + 1):
-            entry = per_point.get(j)
+            entry = entries.get(j)
             if entry is None or entry[1] > eps[j]:
                 tensor, promise = self._compute_derivative(x, j, eps[j])
                 self.counters.bump_deriv(j)
                 if not np.isfinite(tensor).all():
                     raise NonFiniteEvaluationError(f"order-{j} derivative has a non-finite entry")
-                entry = per_point[j] = (tensor, promise)
-            tensors[j], acc[j] = entry
-        return DerivativeBundle(
-            origin=x,
-            value=None,
-            grad=tensors.get(1),
-            hess=tensors.get(2),
-            achieved_acc=acc,
-        )
+                entries[j] = (_read_only(np.asarray(tensor, dtype=float).view()), promise)
+                # the bundles that carry order j now hold a stale tensor
+                for stale in range(j, 3):
+                    bundles.pop(stale, None)
+        bundle = bundles.get(upto)
+        if bundle is None:
+            bundle = bundles[upto] = DerivativeBundle(
+                origin=_read_only(x.copy()),
+                value=None,
+                grad=entries[1][0],
+                hess=entries[2][0] if upto == 2 else None,
+                achieved_acc={j: entries[j][1] for j in range(1, upto + 1)},
+            )
+            if bundle.hess is not None:
+                _read_only(bundle.hess)  # the symmetrized copy
+        return bundle
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 class ExactOracle(Oracle):
@@ -337,9 +358,12 @@ class NoisyOracle(Oracle):
         self.seed = int(seed)
 
     def _rng(self, x: np.ndarray, j: int, eps: float):
-        digest = hashlib.blake2b(x.tobytes(), digest_size=8).digest()
-        eps_bits = int(np.float64(eps).view(np.uint64))
-        return np.random.default_rng([self.seed, int.from_bytes(digest, "little"), eps_bits, j])
+        """The generator ``np.random.default_rng([seed, digest, eps_bits, j])``,
+        seeded from the words numpy derives from that list."""
+        digest = int.from_bytes(hashlib.blake2b(x.tobytes(), digest_size=8).digest(), "little")
+        eps_bits = int.from_bytes(_F64.pack(eps), "little")
+        entropy = _uint32_words(self.seed, digest, eps_bits, j)
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
     def _compute_function(self, x, eps0):
         rng = self._rng(x, 0, eps0)
@@ -350,12 +374,32 @@ class NoisyOracle(Oracle):
         rng = self._rng(x, j, eps_j)
         if j == 1:
             u = rng.standard_normal(x.size)
-            u /= math.sqrt(float(u @ u))
+            u /= math.sqrt(float(u.dot(u)))
             return np.asarray(self.problem.grad(x), dtype=float) + self.noise_fraction * eps_j * u, eps_j
         m = rng.standard_normal((x.size, x.size))
         s = 0.5 * (m + m.T)
-        s /= float(np.max(np.abs(np.linalg.eigvalsh(s))))
+        s /= float(np.abs(np.linalg.eigvalsh(s)).max())
         return np.asarray(self.problem.hess(x), dtype=float) + self.noise_fraction * eps_j * s, eps_j
+
+
+_F64 = struct.Struct("<d")
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(*values: int) -> np.ndarray:
+    """The uint32 entropy words ``np.random.SeedSequence`` derives from a list
+    of nonnegative ints: each int split into little-endian 32-bit words, the
+    most significant nonzero one last, and 0 giving the one word 0."""
+    words = []
+    for n in values:
+        if n < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(n & _MASK32)
+        n >>= 32
+        while n:
+            words.append(n & _MASK32)
+            n >>= 32
+    return np.array(words, dtype=np.uint32)
 
 
 class SubsampledOracle(Oracle):

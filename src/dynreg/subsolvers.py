@@ -24,7 +24,7 @@ and positive-semidefiniteness certificates can be checked directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,16 +51,39 @@ class SubsolverError(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
-@dataclass
+@dataclass(slots=True)
 class ModelSolution:
-    """Global minimizer d of a trust-region or cubic model, with its multiplier."""
+    """Global minimizer d of a trust-region or cubic model, with its multiplier.
+
+    ``value`` and ``kkt_residual`` are computed when read, from the
+    eigenbasis data of the solve (eigenvalues ``w``, Q^T g ``gh``, Q^T d
+    ``dh`` and w + lam ``denom``); ``sigma`` is the cubic weight, None for
+    the trust region.
+    """
 
     d: np.ndarray
-    value: float
     lam: float
     hard_case: bool
-    kkt_residual: float
     iterations: int
+    w: np.ndarray = field(repr=False)
+    gh: np.ndarray = field(repr=False)
+    dh: np.ndarray = field(repr=False)
+    denom: np.ndarray = field(repr=False)
+    sigma: float | None = None
+
+    @property
+    def value(self) -> float:
+        """Model value at d: the quadratic part, plus sigma/6 ||d||^3 for the cubic model."""
+        dh = self.dh
+        value = float(self.gh.dot(dh)) + 0.5 * float(np.add.reduce(self.w * dh * dh))
+        if self.sigma is not None:
+            value += self.sigma / 6.0 * math.sqrt(float(self.d.dot(self.d))) ** 3
+        return value
+
+    @property
+    def kkt_residual(self) -> float:
+        """Euclidean norm of (H + lam I) d + g, evaluated in the eigenbasis."""
+        return math.sqrt(float(np.add.reduce((self.denom * self.dh + self.gh) ** 2)))
 
 
 @dataclass
@@ -98,12 +121,13 @@ class StepResult:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class _Spectrum:
     """The part of the secular solve that depends on (g, H) alone.
 
     ``g_key`` and ``H_key`` are the bytes of the inputs (the memo key); the
-    arrays are read-only, since warm calls share them.
+    arrays are read-only and no field is ever rebound, since warm calls
+    share the setup.
     """
 
     g_key: bytes
@@ -141,18 +165,24 @@ def _spectrum(g, H) -> _Spectrum:
         return last
     w, Q = np.linalg.eigh(0.5 * (H + H.T))
     gh = Q.T @ g
-    gn = math.sqrt(float(gh @ gh))
+    gn = math.sqrt(float(gh.dot(gh)))
     if not math.isfinite(gn):
         raise SubsolverError("gradient norm is not finite", {"gradient_norm": gn})
     lam_low = max(0.0, -float(w[0]))
     shifted = w + lam_low
     # every tolerance is relative (to ||H||, ||Q^T g|| or tau), so solving
     # (c g, c H) gives the d of (g, H) at any scale c
-    critical = shifted <= 1e-12 * max(abs(float(w[0])), abs(float(w[-1])))
-    free = ~critical
+    tol = 1e-12 * max(abs(float(w[0])), abs(float(w[-1])))
     neg_gh = -gh
-    dh = np.zeros_like(gh)
-    dh[free] = neg_gh[free] / shifted[free]
+    # w ascends, so an eigenvalue is critical only if the leftmost one is;
+    # with none critical the leftmost eigenspace is free of gradient
+    if not float(shifted[0]) <= tol:
+        dh = neg_gh / shifted
+        leftmost_free = True
+    else:
+        critical = shifted <= tol
+        dh = np.divide(neg_gh, shifted, out=np.zeros_like(gh), where=~critical)
+        leftmost_free = float(np.abs(gh[critical]).max()) <= 1e-12 * gn
     for arr in (w, Q, gh, neg_gh, shifted, dh):
         arr.setflags(write=False)
     sp = _Spectrum(
@@ -165,9 +195,9 @@ def _spectrum(g, H) -> _Spectrum:
         gn=gn,
         lam_low=lam_low,
         shifted=shifted,
-        leftmost_free=bool(np.abs(gh[critical]).max(initial=0.0) <= 1e-12 * gn),
+        leftmost_free=leftmost_free,
         dh=dh,
-        nd=math.sqrt(float(dh @ dh)),
+        nd=math.sqrt(float(dh.dot(dh))),
     )
     _last_spectrum = sp
     return sp
@@ -209,7 +239,7 @@ def _eig_min(g, H, a: float, b: float) -> ModelSolution:
         for iters in range(1, SECULAR_MAX_ITER + 1):
             denom = shifted + tau
             dh = neg_gh / denom
-            n2 = float(dh @ dh)
+            n2 = float(dh.dot(dh))
             n = math.sqrt(n2)
             target = a0 + b * tau
             if abs(n - target) <= SECULAR_RTOL * target or (hi - lo) <= 1e-15 * tau:
@@ -219,7 +249,7 @@ def _eig_min(g, H, a: float, b: float) -> ModelSolution:
             else:
                 hi = tau
             # psi' = b/n + (a + b lam) sum(gh^2/(w + lam)^3) / n^3
-            dpsi = b / n + target * float((dh * dh / denom).sum()) / (n2 * n)
+            dpsi = b / n + target * float(np.add.reduce(dh * dh / denom)) / (n2 * n)
             cand = tau - (target / n - 1.0) / dpsi
             tau = cand if lo < cand < hi else 0.5 * (lo + hi)
         else:
@@ -227,10 +257,8 @@ def _eig_min(g, H, a: float, b: float) -> ModelSolution:
                 "secular iteration exceeded its cap", {"a": a, "b": b, "lam_low": sp.lam_low, "bracket": (lo, hi)}
             )
 
-    value = float(gh @ dh) + 0.5 * float((sp.w * dh * dh).sum())
-    kkt = math.sqrt(float(((denom * dh + gh) ** 2).sum()))
     return ModelSolution(
-        d=sp.Q @ dh, value=value, lam=sp.lam_low + tau, hard_case=hard_case, kkt_residual=kkt, iterations=iters
+        d=sp.Q @ dh, lam=sp.lam_low + tau, hard_case=hard_case, iterations=iters, w=sp.w, gh=gh, dh=dh, denom=denom
     )
 
 
@@ -257,7 +285,7 @@ def cubic_min(g, H, sigma: float) -> ModelSolution:
     if not 0.0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
     sol = _eig_min(g, H, 0.0, 2.0 / sigma)
-    sol.value += sigma / 6.0 * math.sqrt(float(sol.d @ sol.d)) ** 3
+    sol.sigma = sigma
     return sol
 
 
@@ -275,7 +303,7 @@ def optimality_measure(bundle: DerivativeBundle, delta: float, q: int) -> Measur
         raise ValueError("bundle has no gradient")
     if q == 1:
         g = bundle.grad
-        gn = math.sqrt(float(g @ g))
+        gn = math.sqrt(float(g.dot(g)))
         if gn == 0.0:
             return MeasureResult(phi=0.0, d=np.zeros_like(g))
         return MeasureResult(phi=gn * delta, d=(-delta / gn) * g)
@@ -313,7 +341,7 @@ def model_descent_step(
 
     if p == 1:
         g = bundle.grad
-        gn = math.sqrt(float(g @ g))
+        gn = math.sqrt(float(g.dot(g)))
         if gn == 0.0:
             return StepResult.zero(g.size)
         t = (gn / sigma) ** (1.0 / beta)
@@ -323,11 +351,11 @@ def model_descent_step(
             return StepResult(s, t, increment, None)
         # model gradient at the minimizer; zero in exact arithmetic
         mg = g * (1.0 - sigma * t**beta / gn)
-        measure = math.sqrt(float(mg @ mg)) * OPTIMALITY_RADIUS
+        measure = math.sqrt(float(mg.dot(mg))) * OPTIMALITY_RADIUS
         step_norm, model_acc = t, model_accuracy(bundle.achieved_acc, t)
     else:
         sol = cubic_min(bundle.grad, bundle.hess, sigma)
-        sn = math.sqrt(float(sol.d @ sol.d))
+        sn = math.sqrt(float(sol.d.dot(sol.d)))
         if sn == 0.0:
             return StepResult.zero(bundle.grad.size)
         increment = taylor_increment(bundle, sol.d, p)

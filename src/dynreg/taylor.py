@@ -82,7 +82,8 @@ class DerivativeBundle:
 
     ``achieved_acc[j]`` is the absolute accuracy the producing oracle
     promised for order j (0 = value, 1 = gradient, 2 = Hessian).  The
-    Hessian is stored symmetrized.
+    Hessian is stored symmetrized.  An oracle hands the same bundle, with
+    read-only arrays, to every request its cache serves unchanged.
     """
 
     origin: np.ndarray
@@ -120,11 +121,11 @@ def taylor_increment(bundle: DerivativeBundle, s: np.ndarray, order: int) -> flo
     s = np.asarray(s, dtype=float)
     if s.shape != bundle.origin.shape:
         raise ValueError("step dimension mismatch")
-    inc = -float(bundle.grad @ s)
+    inc = -float(bundle.grad.dot(s))
     if order == 2:
         if bundle.hess is None:
             raise ValueError("bundle has no Hessian")
-        inc -= 0.5 * float(s @ (bundle.hess @ s))
+        inc -= 0.5 * float(s.dot(bundle.hess @ s))
     return inc
 
 

@@ -268,11 +268,22 @@ class TestSolve:
             {"problem": {"name": "quartic", "n": 0}},
             {"problem": {"name": "quadratic", "diag": []}},
             {"algo": {"delta_init": 1.0}},
+            [],
+            5,
+            None,
+            {"problem": {"name": "quadratic", "x0": [None, 1.0]}},
+            {"problem": {"name": "quadratic", "diag": [None, 1.0]}},
+            {"problem": {"name": "rosenbrock", "x0": ["1", 1.0]}},
+            {"problem": {"name": "quadratic", "diag": [True, 1.0]}},
+            {"problem": {"name": "rosenbrock", "x0": [float("inf"), 1.0]}},
+            {"problem": {"name": "rosenbrock", "x0": [10**400, 1.0]}},
         ],
     )
     def test_config_errors_exit_2(self, tmp_path, capsys, payload):
-        # wrongly typed values, an empty problem and the retired radius
-        # knob stop at config load with an error line, not a traceback
+        # wrongly typed values, a top level that is not an object, vector
+        # entries that are not finite numbers, an empty problem and the
+        # retired radius knob stop at config load with an error line, not a
+        # traceback
         cfg = write_config(tmp_path, payload)
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")

@@ -1,7 +1,11 @@
+import hashlib
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynreg import (
     AccuracyLadder,
@@ -21,6 +25,7 @@ from dynreg import (
     sample_size,
     subsampled_eval,
 )
+from dynreg import oracles
 from dynreg.problems import sigmoid_ls_derivs, _make_dataset
 
 
@@ -161,6 +166,110 @@ class TestNoisyOracle:
         assert oracle.counters.deriv_evals == {1: 2, 2: 1}
         assert tight.achieved_acc == {1: 0.1, 2: 0.5}
         assert not np.array_equal(tight.grad, loose.grad)
+
+
+# 0, the largest one-word value, the smallest two-word value and 2^63 (the
+# sign bit of a float's pattern), or any value up to three words
+WORD_BOUNDARY_INTS = st.sampled_from([0, 2**32 - 1, 2**32, 2**63]) | st.integers(0, 2**96 - 1)
+FLOAT_PATTERNS = st.sampled_from([0, 2**32 - 1, 2**32, 2**63]) | st.integers(0, 2**64 - 1)
+
+
+def float_from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+class TestNoiseSeeding:
+    """``NoisyOracle._rng`` builds the entropy words numpy derives from the
+    list [seed, digest, eps_bits, j], so its draws equal the list-seeded ones."""
+
+    @staticmethod
+    def list_seeded(seed, x, j, eps):
+        digest = hashlib.blake2b(x.tobytes(), digest_size=8).digest()
+        eps_bits = int(np.float64(eps).view(np.uint64))
+        return np.random.default_rng([seed, int.from_bytes(digest, "little"), eps_bits, j])
+
+    @settings(deadline=None, max_examples=200)
+    @given(values=st.tuples(WORD_BOUNDARY_INTS, WORD_BOUNDARY_INTS, WORD_BOUNDARY_INTS, st.integers(0, 2)))
+    def test_words_equal_the_list_seed(self, values):
+        words = oracles._uint32_words(*values)
+        assert words.dtype == np.uint32
+        expected = np.random.SeedSequence(list(values)).generate_state(8)
+        np.testing.assert_array_equal(np.random.SeedSequence(words).generate_state(8), expected)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        seed=WORD_BOUNDARY_INTS,
+        eps_bits=FLOAT_PATTERNS,
+        j=st.integers(0, 2),
+        x=st.lists(st.floats(allow_nan=False), min_size=1, max_size=5),
+    )
+    def test_rng_draws_equal_the_list_seeded_generator(self, seed, eps_bits, j, x):
+        x = np.array(x)
+        eps = float_from_bits(eps_bits)
+        ours = NoisyOracle(make_quadratic(np.ones(x.size)), 0.9, seed=seed)._rng(x, j, eps)
+        ref = self.list_seeded(seed, x, j, eps)
+        np.testing.assert_array_equal(ours.integers(0, 2**63, size=4), ref.integers(0, 2**63, size=4))
+        np.testing.assert_array_equal(ours.standard_normal(3), ref.standard_normal(3))
+
+    def test_negative_seed_raises_like_numpy(self):
+        oracle = NoisyOracle(make_quadratic(np.ones(2)), 0.9, seed=-1)
+        with pytest.raises(ValueError):
+            self.list_seeded(-1, np.ones(2), 1, 0.1)
+        with pytest.raises(ValueError):
+            oracle.request_derivatives(np.ones(2), {1: 0.1}, upto=1)
+
+
+class TestBundlePerCacheState:
+    """One bundle per cached point and ``upto``: repeated requests served from
+    the same cache state share it, a recompute replaces it."""
+
+    def setup_method(self):
+        self.oracle = NoisyOracle(make_rosenbrock(), 0.9, seed=4)
+        self.x = np.array([0.3, -0.7])
+
+    def request(self, eps1, eps2=None, upto=1):
+        return self.oracle.request_derivatives(self.x, {1: eps1, 2: eps2}, upto)
+
+    def test_unchanged_state_returns_the_same_read_only_bundle(self):
+        first = self.request(0.5, 0.5, upto=2)
+        assert self.request(0.5, 0.5, upto=2) is first
+        assert self.request(0.9, 0.7, upto=2) is first  # looser: served from cache
+        assert self.oracle.counters.deriv_evals == {1: 1, 2: 1}
+        for arr in (first.origin, first.grad, first.hess):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        # the Hessian is symmetrized exactly once, and the origin is a copy
+        np.testing.assert_array_equal(first.hess, first.hess.T)
+        self.x[0] = 5.0
+        np.testing.assert_array_equal(first.origin, [0.3, -0.7])
+
+    def test_recompute_returns_a_new_bundle(self):
+        order1 = self.request(0.5)
+        both = self.request(0.5, 0.5, upto=2)
+        assert both is not order1
+        assert both.grad is order1.grad  # one cached order-1 tensor
+        # recomputing the Hessian leaves the order-1 bundle valid
+        tighter_hess = self.request(0.5, 0.1, upto=2)
+        assert tighter_hess is not both
+        assert self.request(0.5) is order1
+        # recomputing the gradient replaces both bundles
+        tighter_grad = self.request(0.1)
+        assert tighter_grad is not order1
+        assert tighter_grad.achieved_acc == {1: 0.1}
+        again = self.request(0.1, 0.1, upto=2)
+        assert again is not tighter_hess
+        assert again.grad is tighter_grad.grad
+        np.testing.assert_array_equal(again.hess, tighter_hess.hess)
+        assert self.oracle.counters.deriv_evals == {1: 2, 2: 2}
+
+    def test_problem_arrays_stay_writable(self):
+        # a problem that hands out its own buffer keeps it writable
+        buf = np.array([1.0, 2.0])
+        oracle = ExactOracle(replace(make_quadratic(np.ones(2)), grad=lambda x: buf))
+        bundle = oracle.request_derivatives(np.ones(2), {1: 1.0}, upto=1)
+        assert buf.flags.writeable
+        assert not bundle.grad.flags.writeable
 
 
 class TestSubsampledOracle:

@@ -213,6 +213,45 @@ class TestAdversarialSpectra:
         assert abs(sol.lam - 0.5 * sigma * np.linalg.norm(sol.d)) <= 1e-8 * sol.lam
 
 
+class TestOnDemandDiagnostics:
+    """``value`` and ``kkt_residual`` are computed when read, from the
+    eigenbasis data the solve keeps; the spectral setup takes a mask-free
+    path when no eigenvalue is critical.  Each equals the formula it
+    replaced, bit for bit."""
+
+    @staticmethod
+    def eager(sol, sigma):
+        """The value and KKT residual as the solvers used to compute them."""
+        value = float(sol.gh @ sol.dh) + 0.5 * float((sol.w * sol.dh * sol.dh).sum())
+        if sigma is not None:
+            value += sigma / 6.0 * math.sqrt(float(sol.d @ sol.d)) ** 3
+        return value, math.sqrt(float(((sol.denom * sol.dh + sol.gh) ** 2).sum()))
+
+    @PROPERTY
+    @given(model=adversarial_models(), radius=LOG_UNIFORM)
+    def test_value_and_kkt_equal_the_eager_formulas(self, model, radius):
+        g, H, scale = model
+        for sol, sigma in ((trust_region_min(g, H, radius), None), (cubic_min(g, H, radius * scale), radius * scale)):
+            assert (sol.value, sol.kkt_residual) == self.eager(sol, sigma)
+            # and the value is the model's, evaluated in the original basis
+            nd = float(np.linalg.norm(sol.d))
+            reg = 0.0 if sigma is None else sigma / 6.0 * nd**3
+            direct = float(g @ sol.d + 0.5 * sol.d @ H @ sol.d) + reg
+            size = float(np.linalg.norm(g)) * nd + float(np.linalg.norm(H, 2)) * nd**2 + reg
+            assert abs(sol.value - direct) <= 1e-9 * size
+
+    @PROPERTY
+    @given(model=adversarial_models())
+    def test_spectrum_equals_the_masked_setup(self, model):
+        g, H, _ = model
+        sp = subsolvers._spectrum(g, H)
+        critical = sp.shifted <= 1e-12 * max(abs(float(sp.w[0])), abs(float(sp.w[-1])))
+        dh = np.zeros_like(sp.gh)
+        dh[~critical] = sp.neg_gh[~critical] / sp.shifted[~critical]
+        assert sp.dh.tobytes() == dh.tobytes()
+        assert sp.leftmost_free == bool(np.abs(sp.gh[critical]).max(initial=0.0) <= 1e-12 * sp.gn)
+
+
 @st.composite
 def psd_models(draw):
     """(g, H) with H positive semidefinite: k zero eigenvalues, a gradient

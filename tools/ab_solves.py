@@ -1,0 +1,128 @@
+"""Interleaved A/B timing of one workload's solves on two checkouts.
+
+Run from the repository root, with the other checkout's root as ``--base``:
+
+    python3 tools/ab_solves.py --base ../dynreg-parent --workload many-small --seed 0 --rounds 8
+
+The two checkouts' ``src/dynreg`` are imported into one interpreter as two
+separately named packages, ``dynreg_base`` and ``dynreg_change`` (the
+change side defaults to this checkout).  Every solve of the workload (see
+``perfbench/workloads.py``) is set up on both sides as the benchmark sets
+it up, then the rounds time ``driver.run`` on a fresh oracle solve by
+solve, alternating which side goes first.  Both sides thus share each
+moment's machine speed, which separate benchmark runs on a shared host do
+not.
+
+The output gives, per side, the p50 over solves of each solve's median
+time (the benchmark's ``solve_ms_p50``) and the sum of those medians, then
+the median over solves of the per-solve ratio change/base, and the number
+of solves whose trace (``cli.record_to_json`` of every record) differs
+between the sides.  Uses one BLAS thread, like the benchmark.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import hashlib
+import importlib
+import importlib.util
+import json
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import WORKLOADS  # noqa: E402
+
+
+def load_checkout(root: Path, name: str):
+    """The ``cli`` and ``driver`` modules of ``root/src/dynreg``, imported as package ``name``."""
+    pkg = Path(root).resolve() / "src" / "dynreg"
+    if not (pkg / "__init__.py").is_file():
+        raise SystemExit(f"ab_solves: no dynreg package under {pkg}")
+    spec = importlib.util.spec_from_file_location(name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{name}.cli"), importlib.import_module(f"{name}.driver")
+
+
+class Side:
+    """One checkout's solves, set up once."""
+
+    def __init__(self, root: Path, name: str, raws: list[dict]):
+        self.cli, self.driver = load_checkout(root, name)
+        self.entries = []
+        for raw in raws:
+            cfg = self.cli.RunConfig.from_dict(raw)
+            params, orders = cfg.build_params(), cfg.build_orders()
+            problem, dataset, x0 = self.cli.build_problem(cfg)
+            self.entries.append((cfg, params, orders, problem, dataset, x0))
+
+    def solve(self, i: int):
+        """The report and the seconds of ``driver.run`` for solve i on a fresh oracle."""
+        cfg, params, orders, problem, dataset, x0 = self.entries[i]
+        oracle = self.cli.build_oracle(cfg, problem, dataset, params, orders)
+        t0 = perf_counter()
+        try:
+            report = self.driver.run(oracle, x0, params, orders)
+        except self.driver.RunAborted as exc:
+            report = exc
+        return report, perf_counter() - t0
+
+    def digest(self, report) -> str:
+        """sha256 of the exit and every trace record of one solve."""
+        h = hashlib.sha256()
+        aborted = isinstance(report, self.driver.RunAborted)
+        h.update((f"aborted: {report}" if aborted else report.status.kind.value).encode())
+        for rec in report.trace:
+            h.update((json.dumps(self.cli.record_to_json(rec), sort_keys=True) + "\n").encode("ascii"))
+        return h.hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--base", type=Path, required=True, help="root of the base checkout")
+    parser.add_argument("--change", type=Path, default=ROOT, help="root of the changed checkout (default: this one)")
+    parser.add_argument("--workload", choices=sorted(WORKLOADS), default="many-small")
+    parser.add_argument("--seed", type=int, default=0, help="workload seed")
+    parser.add_argument("--rounds", type=int, default=8, help="timed rounds after one warm-up round")
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+
+    raws = WORKLOADS[args.workload](args.seed)
+    sides = {"base": Side(args.base, "dynreg_base", raws), "change": Side(args.change, "dynreg_change", raws)}
+    names = list(sides)
+    times = {name: [[] for _ in raws] for name in names}
+    differ = 0
+    for rnd in range(args.rounds + 1):  # round 0 warms up and compares traces
+        for i in range(len(raws)):
+            order = names if (rnd + i) % 2 == 0 else names[::-1]
+            out = {name: sides[name].solve(i) for name in order}
+            if rnd == 0:
+                base, change = (sides[n].digest(out[n][0]) for n in names)
+                differ += base != change
+            else:
+                for name in names:
+                    times[name][i].append(out[name][1])
+
+    medians = {name: [statistics.median(ts) for ts in times[name]] for name in names}
+    print(f"workload {args.workload}  seed {args.seed}  solves {len(raws)}  rounds {args.rounds}")
+    for name in names:
+        med = medians[name]
+        print(f"{name:>6}: p50 {1e3 * statistics.median(med):.3f} ms   sum of medians {sum(med):.4f} s")
+    ratio = statistics.median(c / b for b, c in zip(medians["base"], medians["change"]))
+    print(f"median per-solve ratio change/base: {ratio:.4f}")
+    print(f"solves with differing traces: {differ} of {len(raws)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

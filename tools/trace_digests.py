@@ -3,9 +3,11 @@
 Run from the repository root:
 
     python3 tools/trace_digests.py --seed 0 > digests-seed0.txt
+    python3 tools/trace_digests.py --seed 0 --workload many-small --workload dense-hessian
 
-For every workload in ``perfbench/workloads.py`` and every config it
-generates from ``--seed``, the script runs ``cli.cmd_solve`` into a
+For every workload in ``perfbench/workloads.py`` (or only those named by
+``--workload``, which may be repeated) and every config it generates from
+``--seed``, the script runs ``cli.cmd_solve`` into a
 temporary directory and hashes the bytes of ``trace.jsonl`` followed by
 ``summary.json``.  Each output line is ``<workload> <index> <sha256>``.
 Two checkouts give the same traces and summaries on every solve exactly
@@ -50,8 +52,13 @@ def solve_digest(raw: dict) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--seed", type=int, default=0, help="workload seed")
+    parser.add_argument(
+        "--workload", action="append", choices=sorted(WORKLOADS), help="run only this workload (repeatable)"
+    )
     args = parser.parse_args(argv)
     for workload, make in WORKLOADS.items():
+        if args.workload and workload not in args.workload:
+            continue
         for i, raw in enumerate(make(args.seed)):
             print(f"{workload} {i} {solve_digest(raw)}", flush=True)
     return 0
