@@ -5,6 +5,8 @@ are bounded by zeta_j, the cascade classifies it as exactly zero with
 negligible tensor errors (flag 1), relatively accurate to within omega
 (flag 2), or small with a certified absolute error (flag 3).  Flag 0 means
 none of the certificates hold and the caller should tighten the accuracies.
+The room of a certificate is the factor by which its tags could grow and
+the certificate would still hold.
 """
 
 from __future__ import annotations
@@ -63,3 +65,22 @@ def certify_increment(
         return CertifyFlag.SMALL_INCREMENT
     return CertifyFlag.NOT_CERTIFIED
 
+
+def certificate_room(delta: float, increment: float, zetas: Sequence[float], omega: float, xi: float) -> float:
+    """The factor by which every tag in ``zetas`` could grow and a
+    certificate of ``increment`` would still hold.
+
+    For a zero increment (flag 1) it is xi / max zeta; otherwise (flags 2
+    and 3) it is max(omega * increment, xi * chi_r) / sum zeta_j delta^j / j!.
+    The tags must be positive; a room below one means these tags alone
+    would not certify.
+    """
+    if increment == 0.0:
+        return xi / max(zetas)
+    total = chi_r = 0.0
+    term = 1.0
+    for j, zeta in enumerate(zetas, start=1):
+        term *= delta / j
+        total += zeta * term
+        chi_r += term
+    return max(omega * increment, xi * chi_r) / total

@@ -41,7 +41,11 @@ def shrink_violations(report: RunReport, omega_min: float) -> list[str]:
 
 
 def budget_violations(report: RunReport, budget: ComplexityBudget) -> list[str]:
-    """Worst-case successful-iteration and sigma ceilings."""
+    """Worst-case successful-iteration and sigma ceilings, and the evaluation
+    budgets: function evaluations against ``max_fun_evals`` and each
+    order's derivative evaluations against ``max_deriv_evals``, which
+    bounds every order alone (an iteration evaluates each order at most
+    once per ladder rung it visits)."""
     out = []
     if report.n_successful > budget.max_successful:
         out.append(
@@ -50,6 +54,12 @@ def budget_violations(report: RunReport, budget: ComplexityBudget) -> list[str]:
     sig = report.sigma_max_observed
     if sig > budget.sigma_max:
         out.append(f"observed sigma {sig:.6g} exceeds the ceiling {budget.sigma_max:.6g}")
+    counters = report.counters
+    if counters.fun_evals > budget.max_fun_evals:
+        out.append(f"function evaluations {counters.fun_evals} exceed the budget {budget.max_fun_evals}")
+    for j, count in sorted(counters.deriv_evals.items()):
+        if count > budget.max_deriv_evals:
+            out.append(f"order-{j} derivative evaluations {count} exceed the budget {budget.max_deriv_evals}")
     return out
 
 

@@ -23,7 +23,7 @@ from . import checks
 from .bounds import ComplexityBudget, complexity_budget
 from .driver import RunAborted, RunReport, TerminationKind, run
 from .oracles import ExactOracle, NoisyOracle, StochasticConfig, SubsampledOracle, sampling_failures
-from .params import AlgoParams, Schedule
+from .params import AlgoParams, Schedule, finite
 from .problems import (
     Dataset,
     Problem,
@@ -69,12 +69,7 @@ class ConfigError(ValueError):
 
 def _finite_number(value) -> bool:
     """A JSON number (not a bool) that converts to a finite float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and finite(value)
 
 
 @dataclass
@@ -126,6 +121,8 @@ class RunConfig:
             value = self.problem.get(key, [])
             if not isinstance(value, list) or not all(map(_finite_number, value)):
                 raise ConfigError(f"{key} must be a list of finite numbers, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -10,6 +10,14 @@ requested: when certification fails, the ladder shrinks and the
 derivatives are requested again.  A promise is never looser than its
 request, and exact and full-batch results promise zero, so on such data
 every positive increment certifies at once.
+
+Under the FLEXIBLE schedule each iteration starts its ladder at the
+loosest rung the previous iteration's certificates allow: every site
+(measure, step, model) that certified at a rung above 0 records the
+loosest rung at which the same increment would still certify against
+the requested accuracies, and the next iteration starts at the tightest
+of those records, or at kappa_eps when there are none.  MONOTONIC carries
+the ladder across iterations unchanged.
 """
 
 from __future__ import annotations
@@ -19,9 +27,9 @@ from enum import Enum
 
 import numpy as np
 
-from .certify import CertifyFlag, certify_increment
+from .certify import CertifyFlag, certificate_room, certify_increment
 from .oracles import AccuracyLadder, EvalCounters, Oracle
-from .params import AlgoParams
+from .params import AlgoParams, Schedule
 from .subsolvers import OPTIMALITY_RADIUS, model_descent_step, optimality_measure
 from .taylor import Orders, chi
 
@@ -132,15 +140,32 @@ def _counts(counters: EvalCounters) -> tuple[int, int, int, int]:
     return counters.fun_evals, d.get(1, 0), d.get(2, 0), counters.component_evals
 
 
-def _certify(stage, flags, ladder, delta, increment, acc, order, omega, xi) -> CertifyFlag:
+def _certify(stage, flags, starts, ladder, delta, increment, acc, order, omega, xi) -> CertifyFlag:
     """Certify ``increment`` against the promised accuracies ``acc[1..order]``
     and log the flag under ``stage``; on ``NOT_CERTIFIED`` the ladder
-    shrinks and the caller computes again."""
+    shrinks and the caller computes again.
+
+    Under FLEXIBLE ``starts`` is a dict (under MONOTONIC it is None), and
+    a certificate at a rung above 0 records in ``starts[stage]`` the
+    loosest rung at which the ladder's requested accuracies, taken as
+    the increment's tags, would still certify it.  The request, not the
+    promise, sets that rung: a full-batch promise of 0 says nothing about
+    the subsample a looser request would draw.  The model site takes the
+    request as is, not through ``model_accuracy``: near convergence its
+    increment is about 0 and its threshold fixed, so the tripled tags
+    would pin the start after every short step at one rung, and the
+    iteration that then needs only the measure could not loosen.  The
+    rung only sets what is requested; certificates always rest on the
+    promise.
+    """
     zetas = [acc[j] for j in range(1, order + 1)]
     flag = certify_increment(delta, increment, zetas, omega, xi)
     flags.append((stage, int(flag)))
     if flag is CertifyFlag.NOT_CERTIFIED:
         ladder.shrink()
+    elif starts is not None and ladder.i_eps:
+        room = certificate_room(delta, increment, [ladder.eps[j] for j in range(1, order + 1)], omega, xi)
+        starts[stage] = ladder.loosest_rung(room)
     return flag
 
 
@@ -165,11 +190,17 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
     trace: list[IterRecord] = []
     counters = oracle.counters
     status = None
+    # per site, the loosest rung its last certificate allows; MONOTONIC keeps none
+    starts = {} if params.schedule is Schedule.FLEXIBLE else None
 
     try:
         for k in range(params.max_iter):
             oracle.begin_iteration()
-            ladder.reset()
+            if starts:
+                ladder.reset(max(starts.values()))
+                starts.clear()
+            else:
+                ladder.reset()
             base = _counts(counters)
             flags = []
             xi_abs = 0.5 * omega * eps
@@ -179,7 +210,7 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
                 bundle = oracle.request_derivatives(x, ladder.eps, orders.q)
                 measure = optimality_measure(bundle, OPTIMALITY_RADIUS, orders.q)
                 flag = _certify(
-                    "measure", flags, ladder, OPTIMALITY_RADIUS, measure.phi,
+                    "measure", flags, starts, ladder, OPTIMALITY_RADIUS, measure.phi,
                     bundle.achieved_acc, orders.q, omega, xi_abs,
                 )
                 if flag is not CertifyFlag.NOT_CERTIFIED:
@@ -202,7 +233,7 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
                     flags.append(("step", int(CertifyFlag.RELATIVE_OK)))
                 else:
                     flag = _certify(
-                        "step", flags, ladder, step.step_norm, step.increment,
+                        "step", flags, starts, ladder, step.step_norm, step.increment,
                         bundle.achieved_acc, orders.p, omega, xi_abs,
                     )
                     if flag is CertifyFlag.NOT_CERTIFIED:
@@ -218,7 +249,7 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
                 if step.step_norm >= long_step:
                     break
                 flag = _certify(
-                    "model", flags, ladder, OPTIMALITY_RADIUS, max(0.0, step.measure_increment),
+                    "model", flags, starts, ladder, OPTIMALITY_RADIUS, max(0.0, step.measure_increment),
                     step.model_acc, orders.q, omega, xi_d_scale * omega * eps,
                 )
                 if flag is not CertifyFlag.NOT_CERTIFIED:

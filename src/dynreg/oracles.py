@@ -59,9 +59,12 @@ class NonFiniteEvaluationError(RuntimeError):
 class AccuracyLadder:
     """Current absolute accuracy thresholds eps_j for orders 1..p.
 
-    Every shrink multiplies all thresholds by gamma_eps.  Under the
-    FLEXIBLE schedule ``reset`` restores kappa_eps at each outer iteration;
-    under MONOTONIC it is a no-op, so thresholds never increase over a run.
+    Rung i holds kappa_eps * gamma_eps^i for every order, built by i
+    shrinks from kappa_eps; every shrink multiplies all thresholds by
+    gamma_eps.  Under the FLEXIBLE schedule ``reset(rung)`` starts each
+    outer iteration at the given rung (the driver passes the loosest rung
+    the previous iteration's certificates allow, 0 being kappa_eps); under
+    MONOTONIC it is a no-op, so thresholds never increase over a run.
     """
 
     eps: dict[int, float]
@@ -79,11 +82,28 @@ class AccuracyLadder:
             mode=Schedule(mode),
         )
 
-    def reset(self) -> None:
+    def reset(self, rung: int = 0) -> None:
         if self.mode is Schedule.FLEXIBLE:
             for j in self.eps:
                 self.eps[j] = self.kappa_eps
             self.i_eps = 0
+            while self.i_eps < rung:
+                self.shrink()
+
+    def loosest_rung(self, room: float) -> int:
+        """The loosest rung at which a certificate made at the current rung
+        with ``room`` (see ``certify.certificate_room``) still holds.
+
+        Each rung looser multiplies the thresholds by 1/gamma_eps, so this
+        is i_eps - floor(log_{1/gamma_eps}(room)), clamped to [0, i_eps]:
+        never tighter than the current rung, never looser than kappa_eps.
+        """
+        widen = 1.0 / self.gamma_eps
+        rung = self.i_eps
+        while rung > 0 and room >= widen:
+            room /= widen
+            rung -= 1
+        return rung
 
     def shrink(self) -> None:
         for j in self.eps:

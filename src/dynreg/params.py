@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from enum import Enum
 
 
 class Schedule(str, Enum):
     """How the absolute-accuracy ladder evolves across outer iterations.
 
-    FLEXIBLE resets the ladder to kappa_eps at the start of every
-    iteration; MONOTONIC initializes it once and only ever tightens it.
+    FLEXIBLE restarts the ladder at every iteration, at the loosest rung
+    the previous iteration's certificates allow (kappa_eps when they were
+    all made there), so it may loosen from one iteration to the next;
+    MONOTONIC initializes it once and only ever tightens it.
     """
 
     FLEXIBLE = "flexible"
@@ -25,7 +28,8 @@ class AlgoParams:
     0 < eta1 <= eta2 < 1, 0 < gamma1 < 1 < gamma2 < gamma3,
     sigma_min in (0, sigma0], alpha in (0, 1),
     kappa_omega in (0, alpha*eta1/2], theta > 0, mu in (0, 1],
-    vartheta in (0, 1), eps in (0, 1), gamma_eps in (0, 1), kappa_eps > 0.
+    vartheta in (0, 1), eps in (0, 1), gamma_eps in (0, 1), kappa_eps > 0,
+    and every float finite.
     The optimality radius is no parameter: it is fixed at one.
     """
 
@@ -49,6 +53,9 @@ class AlgoParams:
 
     def __post_init__(self):
         object.__setattr__(self, "schedule", Schedule(self.schedule))
+        for f in fields(self):
+            if f.type == "float" and not finite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         checks = [
             (0.0 < self.eta1 <= self.eta2 < 1.0, "need 0 < eta1 <= eta2 < 1"),
             (0.0 < self.gamma1 < 1.0 < self.gamma2 < self.gamma3, "need 0 < gamma1 < 1 < gamma2 < gamma3"),
@@ -74,3 +81,12 @@ class AlgoParams:
     @property
     def omega0(self) -> float:
         return min(self.kappa_omega, 1.0 / self.sigma0)
+
+
+def finite(value) -> bool:
+    """Whether a number converts to a finite float (an int beyond the
+    float range does not)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False

@@ -1,0 +1,82 @@
+"""Exit certificates against an oracle whose errors sit at their promise and
+point the harmful way.
+
+``AlignedOracle`` shrinks the gradient by min(eps_1, ||g||) along itself and
+adds eps_2 I to the Hessian, so the inexact optimality measure reads
+smaller than the exact one by as much as the promise allows, and promises
+exactly the request.  The paper's guarantee holds for any error within the
+promise, so every run that stops with ``optimal_measure`` or
+``negligible_increment`` must leave the exact measure phi(1) at most
+eps * chi_q(1).  The adversary comes within a fraction of a percent of that
+bound, so a rule that let a certificate rest on too loose a bound would
+show here.
+"""
+
+import numpy as np
+import pytest
+
+from dynreg import (
+    AlgoParams,
+    DerivativeBundle,
+    Oracle,
+    Orders,
+    Schedule,
+    TerminationKind,
+    chi,
+    make_quadratic,
+    make_rosenbrock,
+    optimality_measure,
+    run,
+)
+from dynreg.subsolvers import OPTIMALITY_RADIUS
+
+MEASURE_EXITS = (TerminationKind.OPTIMAL_MEASURE, TerminationKind.NEGLIGIBLE_INCREMENT)
+
+
+class AlignedOracle(Oracle):
+    """Exact values; gradient and Hessian errors of exactly the request,
+    aligned to shrink the measure."""
+
+    def __init__(self, problem):
+        super().__init__()
+        self.problem = problem
+
+    def _compute_function(self, x, eps0):
+        return float(self.problem.value(x)), eps0
+
+    def _compute_derivative(self, x, j, eps_j):
+        if j == 1:
+            g = np.asarray(self.problem.grad(x), dtype=float)
+            gn = float(np.linalg.norm(g))
+            return (g if gn == 0.0 else g - (min(eps_j, gn) / gn) * g), eps_j
+        return np.asarray(self.problem.hess(x), dtype=float) + eps_j * np.eye(x.size), eps_j
+
+
+def _exact_ratio(problem, x, q, eps):
+    """phi(1) / (eps chi_q(1)) from the exact derivatives at x."""
+    bundle = DerivativeBundle(origin=x, grad=problem.grad(x), hess=problem.hess(x) if q == 2 else None)
+    return optimality_measure(bundle, OPTIMALITY_RADIUS, q).phi / (eps * chi(q, OPTIMALITY_RADIUS))
+
+
+# steepest descent (p = 1) crawls Rosenbrock's valley for thousands of
+# iterations from the usual start, so the first-order runs start on the
+# valley floor to keep the battery short
+CASES = [
+    ("rosenbrock", make_rosenbrock(), {1: np.array([1.05, 1.1]), 2: np.array([-1.2, 1.0])}),
+    ("quadratic", make_quadratic(np.array([1.0, 7.0, 50.0])), {1: np.ones(3), 2: np.ones(3)}),
+]
+
+
+@pytest.mark.parametrize("schedule", list(Schedule))
+@pytest.mark.parametrize("orders", [Orders(1, 1), Orders(2, 1), Orders(2, 2)], ids=["p1q1", "p2q1", "p2q2"])
+@pytest.mark.parametrize("name, problem, starts", CASES, ids=[c[0] for c in CASES])
+def test_measure_exits_hold_against_aligned_errors(name, problem, starts, orders, schedule):
+    checked = 0
+    for eps in (1e-2, 1e-4):
+        report = run(AlignedOracle(problem), starts[orders.p], AlgoParams(eps=eps, schedule=schedule), orders)
+        assert report.status.kind is not TerminationKind.BUDGET
+        if report.status.kind in MEASURE_EXITS:
+            ratio = _exact_ratio(problem, report.x_final, orders.q, eps)
+            assert ratio <= 1.0, f"eps={eps:g}: exact measure {ratio:.6f} of its bound at {report.status.kind.value}"
+            checked += 1
+    assert checked > 0

@@ -1,9 +1,12 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from dynreg import AlgoParams, Orders, Schedule, complexity_budget
+from dynreg import AlgoParams, NoisyOracle, Orders, Schedule, complexity_budget, make_quadratic, run
 from dynreg.bounds import shrink_budget, sigma_ceiling, success_count_bound
+from dynreg.checks import budget_violations
 
 
 class TestSigmaCeiling:
@@ -79,3 +82,44 @@ class TestSuccessCountBound:
         got = success_count_bound(10, 8.0, params)
         expected = 10 * (1 + abs(math.log(0.5)) / math.log(2.0)) + math.log(8.0) / math.log(2.0)
         assert got == pytest.approx(expected, rel=1e-12)
+
+
+class TestEvaluationBudgets:
+    """``budget_violations`` checks function evaluations against
+    ``max_fun_evals`` and each order's derivative evaluations against
+    ``max_deriv_evals``."""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        prob = make_quadratic(np.array([1.0, 2.0]))
+        x0 = np.ones(2)
+        params, orders = AlgoParams(eps=1e-3), Orders(p=2, q=1)
+        report = run(NoisyOracle(prob, 0.9, seed=3), x0, params, orders)
+        budget = complexity_budget(prob.lipschitz[2], float(prob.value(x0)), prob.f_low, params, orders)
+        return report, budget
+
+    def test_within_budget(self, solved):
+        report, budget = solved
+        assert budget_violations(report, budget) == []
+
+    def test_function_evaluations_over_budget(self, solved):
+        report, budget = solved
+        fun = report.counters.fun_evals
+        assert budget_violations(report, replace(budget, max_fun_evals=fun)) == []
+        assert budget_violations(report, replace(budget, max_fun_evals=fun - 1)) == [
+            f"function evaluations {fun} exceed the budget {fun - 1}"
+        ]
+
+    def test_each_order_checked_alone(self, solved):
+        report, budget = solved
+        d = report.counters.deriv_evals
+        assert d[1] > d[2] > 0
+        # the order-1 count alone sets the limit, not the sum over orders
+        assert budget_violations(report, replace(budget, max_deriv_evals=d[1])) == []
+        assert budget_violations(report, replace(budget, max_deriv_evals=d[2])) == [
+            f"order-1 derivative evaluations {d[1]} exceed the budget {d[2]}"
+        ]
+        assert budget_violations(report, replace(budget, max_deriv_evals=d[2] - 1)) == [
+            f"order-1 derivative evaluations {d[1]} exceed the budget {d[2] - 1}",
+            f"order-2 derivative evaluations {d[2]} exceed the budget {d[2] - 1}",
+        ]

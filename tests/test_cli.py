@@ -74,7 +74,7 @@ VALID_CONFIGS = st.fixed_dictionaries(
                 "schedule": st.sampled_from(["flexible", "monotonic"]),
             },
         ),
-        "seed": st.integers(-(2**63), 2**63),
+        "seed": st.integers(0, 2**63),
     },
 )
 
@@ -277,13 +277,19 @@ class TestSolve:
             {"problem": {"name": "quadratic", "diag": [True, 1.0]}},
             {"problem": {"name": "rosenbrock", "x0": [float("inf"), 1.0]}},
             {"problem": {"name": "rosenbrock", "x0": [10**400, 1.0]}},
+            {"seed": -1, "oracle": {"kind": "noisy"}},
+            {"algo": {"sigma0": float("inf")}},
+            {"algo": {"kappa_eps": float("inf")}},
+            {"algo": {"theta": float("inf")}},
+            {"algo": {"sigma0": 10**400}},
         ],
     )
     def test_config_errors_exit_2(self, tmp_path, capsys, payload):
         # wrongly typed values, a top level that is not an object, vector
-        # entries that are not finite numbers, an empty problem and the
-        # retired radius knob stop at config load with an error line, not a
-        # traceback
+        # entries that are not finite numbers, an empty problem, the retired
+        # radius knob, a negative seed and non-finite algorithm constants
+        # (JSON 1e999 loads as inf) stop at config load with an error line,
+        # not a traceback
         cfg = write_config(tmp_path, payload)
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")

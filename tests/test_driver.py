@@ -18,9 +18,9 @@ from dynreg import (
     run,
     sigma_omega_update,
 )
-from dynreg import driver
+from dynreg import AccuracyLadder, CertifyFlag, driver
 from dynreg.certify import certify_increment
-from dynreg.checks import counting_violations
+from dynreg.checks import counting_violations, shrink_violations
 
 
 class TestAlgoParams:
@@ -501,6 +501,125 @@ class TestSchedules:
             for i in range(1, len(report.trace))
         )
         assert widened
+
+
+class TestFlexibleStart:
+    """Each FLEXIBLE iteration starts at the loosest rung the previous
+    iteration's certificates allow against the ladder's request."""
+
+    @staticmethod
+    def ladder_at(rung, p=1):
+        ladder = AccuracyLadder.initial(p, 0.1, 1.0, Schedule.FLEXIBLE)
+        for _ in range(rung):
+            ladder.shrink()
+        return ladder
+
+    def test_rung_zero_certificate_records_nothing(self):
+        starts = {}
+        flag = driver._certify("measure", [], starts, self.ladder_at(0), 1.0, 1.0, {1: 0.1}, 1, 0.5, 0.1)
+        assert flag is CertifyFlag.RELATIVE_OK
+        assert starts == {}
+
+    def test_room_comes_from_the_request_not_the_promise(self):
+        # a full-batch promise of 0 certifies at every rung; the request
+        # 1e-3 at rung 3 has room 0.0625 / 1e-3 = 62.5, one rung
+        starts = {}
+        ladder = self.ladder_at(3)
+        driver._certify("measure", [], starts, ladder, 1.0, 1.0, {1: 0.0}, 1, 0.0625, 1e-4)
+        assert starts == {"measure": 2}
+        assert ladder.i_eps == 3
+
+    def test_zero_increment_uses_xi_over_the_largest_request(self):
+        # flag 1 at rung 4: room xi / 1e-4 = 500, two rungs
+        starts = {}
+        ladder = self.ladder_at(4, p=2)
+        flag = driver._certify("step", [], starts, ladder, 0.5, 0.0, {1: 0.0, 2: 0.0}, 2, 0.0625, 0.05)
+        assert flag is CertifyFlag.ZERO_INCREMENT
+        assert starts == {"step": 2}
+
+    def test_model_site_takes_the_request_as_is(self):
+        # model tags are three times the promise; the record uses the ladder's
+        # request itself: xi / 1e-3 = 13 is one rung of room, where the
+        # tripled tags would leave 13 / 3 and none
+        starts = {}
+        ladder = self.ladder_at(3, p=2)
+        flag = driver._certify("model", [], starts, ladder, 1.0, 0.0, {1: 3e-3}, 1, 0.0625, 0.013)
+        assert flag is CertifyFlag.ZERO_INCREMENT
+        assert starts == {"model": 2}
+
+    def test_a_later_certificate_overwrites_its_site(self):
+        starts = {}
+        ladder = self.ladder_at(2)
+        driver._certify("measure", [], starts, ladder, 1.0, 10.0, {1: 0.0}, 1, 0.0625, 1e-4)
+        assert starts == {"measure": 1}
+        ladder.shrink()
+        driver._certify("measure", [], starts, ladder, 1.0, 1e-3, {1: 0.0}, 1, 0.0625, 1e-4)
+        assert starts == {"measure": 3}
+
+    @pytest.mark.parametrize(
+        "x0, orders, eps",
+        [
+            ((-1.2, 1.0), Orders(p=2, q=1), 1e-3),
+            ((-1.2, 1.0), Orders(p=2, q=1), 1e-2),
+            ((-0.5, 1.5), Orders(p=2, q=2), 1e-2),
+        ],
+    )
+    def test_starts_follow_the_previous_certificates(self, monkeypatch, x0, orders, eps):
+        # exact values promising only the request: every certificate's tags
+        # are the request (tripled at the model site)
+        calls = []
+        certify = driver._certify
+
+        def spy(stage, flags, starts, ladder, delta, increment, acc, order, omega, xi):
+            rung = ladder.i_eps
+            flag = certify(stage, flags, starts, ladder, delta, increment, acc, order, omega, xi)
+            calls.append((stage, rung, delta, increment, order, omega, xi, flag))
+            return flag
+
+        monkeypatch.setattr(driver, "_certify", spy)
+        params = AlgoParams(eps=eps)
+        report = run(NoisyOracle(make_rosenbrock(), noise_fraction=0.0), np.array(x0), params, orders)
+        # with p = 2 every flag comes from one certification, in call order
+        per_iter, i = [], 0
+        for rec in report.trace:
+            per_iter.append(calls[i : i + len(rec.flags)])
+            i += len(rec.flags)
+        assert i == len(calls)
+
+        def request(rung, order):
+            return list(self.ladder_at(rung, p=2).snapshot()[:order])
+
+        def loosest(call):
+            # the loosest rung at which the request certifies the same increment
+            _, rung, delta, increment, order, omega, xi, _ = call
+            return next(
+                r for r in range(rung + 1)
+                if certify_increment(delta, increment, request(r, order), omega, xi) is not CertifyFlag.NOT_CERTIFIED
+            )
+
+        for prev, cur, prev_rec in zip(per_iter, per_iter[1:], report.trace):
+            last = {}
+            for call in prev:
+                if call[-1] is not CertifyFlag.NOT_CERTIFIED:
+                    last[call[0]] = call
+            expected = max((loosest(c) for c in last.values() if c[1] > 0), default=0)
+            start = cur[0][1]
+            assert start == expected
+            # never tighter than where the previous iteration ended
+            assert request(start, 1)[0] >= prev_rec.eps_ladder[0]
+
+        omega_min = min(params.kappa_omega, 1.0 / report.sigma_max_observed)
+        assert shrink_violations(report, omega_min) == []
+
+    def test_widens_before_the_terminal_iteration(self):
+        report = run(
+            NoisyOracle(make_rosenbrock(), noise_fraction=0.0),
+            np.array([-1.2, 1.0]),
+            AlgoParams(eps=1e-2),
+            Orders(p=2, q=1),
+        )
+        ends = [rec.eps_ladder[0] for rec in report.trace]
+        assert any(ends[i] > ends[i - 1] for i in range(1, len(ends) - 1))
 
 
 class TestInvariants:

@@ -61,6 +61,55 @@ class TestAccuracyLadder:
         with pytest.raises(LadderUnderflowError):
             ladder.shrink()
 
+    def test_flexible_reset_to_rung_matches_shrinks(self):
+        # the thresholds at rung i carry the bits of i shrinks from kappa_eps
+        shrunk = AccuracyLadder.initial(2, 0.3, 0.7, Schedule.FLEXIBLE)
+        for _ in range(4):
+            shrunk.shrink()
+        ladder = AccuracyLadder.initial(2, 0.3, 0.7, Schedule.FLEXIBLE)
+        ladder.shrink()
+        ladder.reset(4)
+        assert ladder.snapshot() == shrunk.snapshot()
+        assert ladder.i_eps == 4
+        ladder.reset(0)
+        assert ladder.snapshot() == (0.7, 0.7) and ladder.i_eps == 0
+
+    def test_monotonic_ignores_the_start_rung(self):
+        ladder = AccuracyLadder.initial(1, 0.5, 1.0, Schedule.MONOTONIC)
+        ladder.shrink()
+        ladder.shrink()
+        ladder.reset(1)
+        assert ladder.snapshot() == (0.25,)
+        assert ladder.i_eps == 2
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.5])
+    @pytest.mark.parametrize(
+        "room_of_widen, expected",
+        [
+            # (room as a function of 1/gamma, loosest rung from rung 3)
+            (lambda w: w * (1.0 - 1e-12), 3),
+            (lambda w: w, 2),
+            (lambda w: w * (1.0 + 1e-12), 2),
+            (lambda w: w * w * (1.0 - 1e-12), 2),
+            (lambda w: w * w, 1),
+            (lambda w: w * w * (1.0 + 1e-12), 1),
+        ],
+    )
+    def test_loosest_rung_at_powers_of_the_widening(self, gamma, room_of_widen, expected):
+        ladder = AccuracyLadder.initial(2, gamma, 1.0, Schedule.FLEXIBLE)
+        ladder.reset(3)
+        assert ladder.loosest_rung(room_of_widen(1.0 / gamma)) == expected
+
+    def test_loosest_rung_clamps(self):
+        ladder = AccuracyLadder.initial(1, 0.1, 1.0, Schedule.FLEXIBLE)
+        ladder.reset(2)
+        # never tighter than the current rung, never looser than kappa_eps
+        assert ladder.loosest_rung(0.5) == 2
+        assert ladder.loosest_rung(1e300) == 0
+        assert ladder.loosest_rung(float("inf")) == 0
+        ladder.reset()
+        assert ladder.loosest_rung(1e6) == 0
+
 
 class TestSampleSize:
     def test_known_value(self):

@@ -17,7 +17,12 @@ The output gives, per side, the p50 over solves of each solve's median
 time (the benchmark's ``solve_ms_p50``) and the sum of those medians, then
 the median over solves of the per-solve ratio change/base, and the number
 of solves whose trace (``cli.record_to_json`` of every record) differs
-between the sides.  Uses one BLAS thread, like the benchmark.
+between the sides.  It ends with each side's totals over the workload of
+complete iterations, function evaluations, derivative evaluations per
+order and ladder shrinks (summed as the benchmark sums them, an aborted
+solve counting its partial trace), so a change that moves the counts
+shows its count and time effects in one interleaved run.  Uses one BLAS
+thread, like the benchmark.
 """
 
 import os
@@ -76,6 +81,18 @@ class Side:
             report = exc
         return report, perf_counter() - t0
 
+    @staticmethod
+    def counts(report) -> dict[str, int]:
+        """Complete iterations, evaluations per order and shrinks of one solve."""
+        d = report.counters.deriv_evals
+        return {
+            "iterations": sum(1 for r in report.trace if r.rho is not None),
+            "fun_evals": report.counters.fun_evals,
+            "deriv_evals.1": d.get(1, 0),
+            "deriv_evals.2": d.get(2, 0),
+            "shrinks": sum(r.shrinks for r in report.trace),
+        }
+
     def digest(self, report) -> str:
         """sha256 of the exit and every trace record of one solve."""
         h = hashlib.sha256()
@@ -102,6 +119,7 @@ def main(argv=None) -> int:
     names = list(sides)
     times = {name: [[] for _ in raws] for name in names}
     differ = 0
+    totals = {name: {} for name in names}
     for rnd in range(args.rounds + 1):  # round 0 warms up and compares traces
         for i in range(len(raws)):
             order = names if (rnd + i) % 2 == 0 else names[::-1]
@@ -109,6 +127,9 @@ def main(argv=None) -> int:
             if rnd == 0:
                 base, change = (sides[n].digest(out[n][0]) for n in names)
                 differ += base != change
+                for name in names:
+                    for key, value in Side.counts(out[name][0]).items():
+                        totals[name][key] = totals[name].get(key, 0) + value
             else:
                 for name in names:
                     times[name][i].append(out[name][1])
@@ -121,6 +142,8 @@ def main(argv=None) -> int:
     ratio = statistics.median(c / b for b, c in zip(medians["base"], medians["change"]))
     print(f"median per-solve ratio change/base: {ratio:.4f}")
     print(f"solves with differing traces: {differ} of {len(raws)}")
+    for name in names:
+        print(f"{name:>6}: " + "  ".join(f"{key} {value}" for key, value in totals[name].items()))
     return 0
 
 
