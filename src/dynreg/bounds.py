@@ -44,8 +44,9 @@ def shrink_budget(omega_min: float, eps: float, params: AlgoParams) -> int:
     vartheta (1-kappa_omega) / (6 (1+kappa_omega)^2) * omega_min * eps,
     the tightest threshold any certification call uses.
     """
-    kw = params.kappa_omega
-    floor_val = params.vartheta * (1.0 - kw) / (6.0 * (1.0 + kw) ** 2) * omega_min * eps
+    floor_val = params.tightest_threshold(omega_min, eps)
+    if floor_val == 0.0:
+        raise OverflowError("the shrink budget is beyond the float range")
     raw = (math.log(floor_val) - math.log(params.kappa_eps)) / math.log(params.gamma_eps)
     return max(0, math.floor(raw))
 
@@ -70,6 +71,8 @@ def complexity_budget(
 
     Requires honest problem metadata (L for the order-p derivative and a
     lower bound f_low on the objective); only test problems provide these.
+    Raises ``OverflowError``, or ``ZeroDivisionError`` for an underflowed
+    denominator, when a budget is beyond the float range.
     """
     if L < 0.0:
         raise ValueError("L must be nonnegative")
@@ -92,6 +95,8 @@ def complexity_budget(
     )
 
     succ_raw = kappa_p * (f0 - f_low) * eps ** (-orders.eps_power)
+    if not math.isfinite(succ_raw):
+        raise OverflowError("the iteration budget is beyond the float range")
     max_successful = math.floor(succ_raw) + 1
     max_total = math.floor(success_count_bound(max_successful, sigma_max, params))
     nu_max = shrink_budget(omega_min, eps, params)

@@ -55,12 +55,15 @@ _ORDERS_KEYS = {"p", "q", "beta"}
 _ORACLE_KEYS = {"kind", "noise_fraction", "t_bar", "t"}
 _ALGO_KEYS = {f for f in AlgoParams.__dataclass_fields__}
 _TOP_KEYS = {"problem", "orders", "oracle", "algo", "seed"}
-# JSON types of the scalar values, by key; a bool is not a number here
+# JSON types of the scalar values, by key; a bool is not a number here,
+# and a number must be finite
 _SCALAR_TYPES = {
     **dict.fromkeys(_ALGO_KEYS - {"schedule"} | {"box_radius", "beta", "noise_fraction", "t_bar"}, (int, float)),
     **dict.fromkeys(("seed", "n", "N", "data_seed", "p", "q", "max_iter"), int),
+    **dict.fromkeys(("kind", "schedule", "path"), str),
     "t": (int, float, type(None)),
 }
+_TYPE_NAMES = {int: "an integer", str: "a string"}
 
 
 class ConfigError(ValueError):
@@ -100,7 +103,7 @@ class RunConfig:
 
     def validate(self) -> None:
         name = self.problem.get("name")
-        if name not in _PROBLEM_KEYS:
+        if not isinstance(name, str) or name not in _PROBLEM_KEYS:
             raise ConfigError(f"unknown problem {name!r}; choose from {sorted(_PROBLEM_KEYS)}")
         kind = self.oracle.get("kind", "exact")
         if kind not in ("exact", "noisy", "subsampled"):
@@ -115,8 +118,12 @@ class RunConfig:
             items += values.items()
         for key, value in items:
             kinds = _SCALAR_TYPES.get(key)
-            if kinds is not None and (isinstance(value, bool) or not isinstance(value, kinds)):
-                raise ConfigError(f"{key} must be {'an integer' if kinds is int else 'a number'}, got {value!r}")
+            if kinds is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ConfigError(f"{key} must be {_TYPE_NAMES.get(kinds, 'a number')}, got {value!r}")
+            if kinds is not int and isinstance(value, (int, float)) and not finite(value):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
         for key in ("x0", "diag"):
             value = self.problem.get(key, [])
             if not isinstance(value, list) or not all(map(_finite_number, value)):
@@ -235,11 +242,15 @@ def write_summary(path: Path, summary: dict) -> None:
 
 def run_budget(report: RunReport, problem: Problem, x0: np.ndarray) -> ComplexityBudget | None:
     """Worst-case budget of the run, or None when the problem has no order-p
-    Hölder constant or no lower bound."""
+    Hölder constant or no lower bound, or when the budget is beyond the
+    float range (then it bounds nothing)."""
     L = problem.lipschitz.get(report.orders.p)
     if L is None or problem.f_low is None:
         return None
-    return complexity_budget(L, float(problem.value(x0)), problem.f_low, report.params, report.orders)
+    try:
+        return complexity_budget(L, float(problem.value(x0)), problem.f_low, report.params, report.orders)
+    except ArithmeticError:
+        return None
 
 
 def summarize(report: RunReport, problem: Problem, x0: np.ndarray) -> dict:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import Schedule
+from .params import LADDER_TINY, Schedule
 from .problems import Dataset, Problem
 from .taylor import DerivativeBundle, Orders
 from . import _kernels
@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 _CACHE_POINTS = 4
-_LADDER_TINY = 1e-300
 
 
 class LadderUnderflowError(RuntimeError):
@@ -108,9 +107,9 @@ class AccuracyLadder:
     def shrink(self) -> None:
         for j in self.eps:
             self.eps[j] *= self.gamma_eps
-            if self.eps[j] < _LADDER_TINY:
+            if self.eps[j] < LADDER_TINY:
                 raise LadderUnderflowError(
-                    f"accuracy threshold for order {j} underflowed below {_LADDER_TINY:g} "
+                    f"accuracy threshold for order {j} underflowed below {LADDER_TINY:g} "
                     f"after {self.i_eps + 1} shrinks"
                 )
         self.i_eps += 1
@@ -181,8 +180,10 @@ def sample_size(kappa: float, eps_j: float, t: float, d: int, N: int) -> int:
     if kappa == 0.0:
         return 1
     ratio = kappa / eps_j
-    raw = math.ceil(4.0 * ratio * (2.0 * ratio + 1.0 / 3.0) * math.log(d / t))
-    return min(N, max(1, raw))
+    bound = 4.0 * ratio * (2.0 * ratio + 1.0 / 3.0) * math.log(d / t)
+    if not bound < N:  # an overflowed bound also takes every component
+        return N
+    return max(1, math.ceil(bound))
 
 
 def _dimension_factor(j: int, n: int) -> int:
@@ -217,14 +218,16 @@ def subsampled_eval(dataset: Dataset, x: np.ndarray, j: int, m: int, rng, counte
     """Mean of order-j component derivatives over m uniform draws.
 
     Sampling is with replacement; m = N switches to the exact full sum with
-    no randomness consumed.  The BLAS reduction order is fixed for a given
-    machine and BLAS, so replays there are bit-identical.
+    no randomness consumed, over the shared ``_kernels.full_index(N)``, so
+    the kernels read the rows in place and share one sigmoid pass among the
+    orders requested at one x.  The BLAS reduction order is fixed for a
+    given machine and BLAS, so replays there are bit-identical.
     """
     N = dataset.size
     if not 1 <= m <= N:
         raise ValueError("m must lie in [1, N]")
     if m == N:
-        idx = np.arange(N, dtype=np.int64)
+        idx = _kernels.full_index(N)
     else:
         idx = rng.integers(0, N, size=m, dtype=np.int64)
     if counters is not None:

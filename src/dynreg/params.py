@@ -7,6 +7,14 @@ from dataclasses import dataclass, fields
 from enum import Enum
 
 
+# a ladder threshold below this has underflowed
+LADDER_TINY = 1e-300
+# unit roundoff of double precision
+UNIT_ROUNDOFF = 2.0**-53
+# shrinks the first iteration may need before its tightest threshold
+MAX_FIRST_SHRINKS = 100_000
+
+
 class Schedule(str, Enum):
     """How the absolute-accuracy ladder evolves across outer iterations.
 
@@ -30,6 +38,20 @@ class AlgoParams:
     kappa_omega in (0, alpha*eta1/2], theta > 0, mu in (0, 1],
     vartheta in (0, 1), eps in (0, 1), gamma_eps in (0, 1), kappa_eps > 0,
     and every float finite.
+    The first iteration's arithmetic must also stay within double
+    precision:
+    - kappa_eps <= 1e100: noisy errors scale with it, and their squares
+      must stay finite;
+    - sigma0 >= 1e-10: the first step is about the gradient over sigma0
+      raised to 1/beta <= 10 (for p = 2, the square root), and must stay
+      in float range;
+    - sigma0 * u <= 1e-4 theta, u the unit roundoff: the model-measure test
+      compares theta times the size of a short first step with quantities
+      that round at u;
+    - the tightest first-iteration threshold,
+      ``tightest_threshold(omega0, eps)``, lies at most
+      ``MAX_FIRST_SHRINKS`` ladder rungs below kappa_eps, with one more
+      rung still above ``LADDER_TINY``.
     The optimality radius is no parameter: it is fixed at one.
     """
 
@@ -77,10 +99,27 @@ class AlgoParams:
         for ok, message in checks:
             if not ok:
                 raise ValueError(message)
+        if self.kappa_eps > 1e100:
+            raise ValueError("kappa_eps must be at most 1e100")
+        if self.sigma0 < 1e-10:
+            raise ValueError("sigma0 must be at least 1e-10: a smaller one sends the first step out of float range")
+        if self.sigma0 * UNIT_ROUNDOFF > 1e-4 * self.theta:
+            raise ValueError("sigma0 must be at most 1e-4 theta / u: a larger one rounds a short first step away")
+        floor0 = self.tightest_threshold(self.omega0, self.eps)
+        if floor0 * self.gamma_eps < LADDER_TINY:
+            raise ValueError("the first iteration's tightest threshold underflows the accuracy ladder")
+        if math.log(floor0 / self.kappa_eps) / math.log(self.gamma_eps) > MAX_FIRST_SHRINKS:
+            raise ValueError(f"the first iteration may need more than {MAX_FIRST_SHRINKS} ladder shrinks")
 
     @property
     def omega0(self) -> float:
         return min(self.kappa_omega, 1.0 / self.sigma0)
+
+    def tightest_threshold(self, omega: float, eps: float) -> float:
+        """vartheta (1-kappa_omega) / (6 (1+kappa_omega)^2) * omega * eps, the
+        tightest threshold any certification call uses at omega."""
+        kw = self.kappa_omega
+        return self.vartheta * (1.0 - kw) / (6.0 * (1.0 + kw) ** 2) * omega * eps
 
 
 def finite(value) -> bool:

@@ -167,10 +167,14 @@ def _feature_bounds(features: np.ndarray) -> tuple[float, float, float]:
 
 
 def _make_dataset(features: np.ndarray, labels: np.ndarray) -> Dataset:
+    # read-only, so the kernels' full-batch sigmoid memo, keyed on the
+    # features object, cannot serve values of rows changed in place
     features = np.ascontiguousarray(features, dtype=float)
     labels = np.ascontiguousarray(labels, dtype=float)
     if not np.all((labels == 0.0) | (labels == 1.0)):
         raise DatasetError("labels must be 0 or 1")
+    features.flags.writeable = False
+    labels.flags.writeable = False
     return Dataset(features=features, labels=labels, kappa_bounds=_feature_bounds(features))
 
 
@@ -202,7 +206,7 @@ def make_sigmoid_problem(dataset: Dataset) -> Problem:
     feats = dataset.features
     labels = dataset.labels
     n = dataset.dim
-    full = np.arange(dataset.size, dtype=np.int64)
+    full = _kernels.full_index(dataset.size)
     inv = 1.0 / dataset.size
 
     return Problem(

@@ -46,7 +46,9 @@ class Orders:
     """Model degree p, optimality order q and Hölder exponent beta.
 
     Only p, q in {1, 2} with q <= p are supported; the degree-two subsolver
-    additionally requires beta = 1 (Lipschitz Hessian).
+    additionally requires beta = 1 (Lipschitz Hessian).  beta is at least
+    0.1: the first-order step raises the gradient to the power 1/beta, and
+    a larger power leaves the float range.
     """
 
     p: int
@@ -60,8 +62,8 @@ class Orders:
             raise ValueError("q must be 1 or 2")
         if self.q > self.p:
             raise ValueError("q must not exceed p")
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError("beta must lie in (0, 1]")
+        if not 0.1 <= self.beta <= 1.0:
+            raise ValueError("beta must lie in [0.1, 1]")
         if self.p == 2 and self.beta != 1.0:
             raise ValueError("p = 2 requires beta = 1")
 

@@ -1,10 +1,14 @@
 import csv
+import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynreg import cli
 from dynreg.cli import (
     EXIT_ABORTED,
     EXIT_BUDGET,
@@ -181,6 +185,15 @@ class TestSolve:
         cfg = write_config(tmp_path, payload)
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_BUDGET
 
+    def test_budget_beyond_float_range_is_null(self, tmp_path):
+        # the Hessian constant 6 * 1e308 overflows: the run stands, its
+        # budget bounds nothing
+        payload = {"problem": {"name": "quartic", "box_radius": 1e308}, "orders": {"p": 2, "q": 2}}
+        cfg = write_config(tmp_path, payload)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["budget"] is None and summary["bounds_ok"] is None
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_aborted_run_exit_code(self, tmp_path):
         # the gradient overflows at the start point: the run aborts, and the
@@ -282,14 +295,27 @@ class TestSolve:
             {"algo": {"kappa_eps": float("inf")}},
             {"algo": {"theta": float("inf")}},
             {"algo": {"sigma0": 10**400}},
+            {"problem": {"name": [], "diag": [1.0]}},
+            {"problem": {"name": "sigmoid-file", "path": 0.0}},
+            {"oracle": {"kind": ["noisy"]}},
+            {"oracle": {"kind": "noisy", "noise_fraction": 10**400}},
+            {"oracle": {"kind": "subsampled", "t_bar": float("nan")}},
+            {"problem": {"name": "quartic", "box_radius": float("inf")}},
+            {"algo": {"sigma0": 1e16}},
+            {"algo": {"sigma0": 1e-200, "sigma_min": 1e-200}},
+            {"algo": {"kappa_eps": 1e160}},
+            {"algo": {"kappa_omega": 1e-310}},
+            {"algo": {"gamma_eps": 1.0 - 2.0**-52}},
         ],
     )
     def test_config_errors_exit_2(self, tmp_path, capsys, payload):
         # wrongly typed values, a top level that is not an object, vector
         # entries that are not finite numbers, an empty problem, the retired
         # radius knob, a negative seed and non-finite algorithm constants
-        # (JSON 1e999 loads as inf) stop at config load with an error line,
-        # not a traceback
+        # (JSON 1e999 loads as inf), names and paths that are not strings,
+        # non-finite oracle and problem numbers, and algorithm constants that
+        # take the first iteration out of double precision stop at config
+        # load with an error line, not a traceback
         cfg = write_config(tmp_path, payload)
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
@@ -402,3 +428,94 @@ class TestSampleCheck:
         cfg = write_config(tmp_path, self.PAYLOAD)
         args = ["sample-check", "--config", str(cfg), "--eps-frac", "0", "--out", str(tmp_path / "o")]
         assert main(args) == EXIT_CONFIG
+
+
+# one small valid config per problem; the fuzz overrides some of its scalars
+FUZZ_BASES = [
+    {"problem": {"name": "quadratic", "diag": [1.0, 3.0]}, "orders": {"p": 1, "q": 1}, "oracle": {"kind": "exact"}},
+    {"problem": {"name": "rosenbrock"}, "orders": {"p": 2, "q": 1}, "oracle": {"kind": "noisy"}},
+    {"problem": {"name": "quartic", "n": 3}, "orders": {"p": 2, "q": 2}, "oracle": {"kind": "exact"}},
+    {
+        "problem": {"name": "sigmoid-synthetic", "N": 200, "n": 3},
+        "orders": {"p": 2, "q": 1},
+        "oracle": {"kind": "subsampled"},
+        "algo": {"eps": 1e-2},
+    },
+    {"problem": {"name": "sigmoid-file"}, "orders": {"p": 1, "q": 1}, "oracle": {"kind": "subsampled"}},
+]
+WRONG_TYPES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1),
+)
+# non-finite, out-of-range, huge and tiny numbers of both JSON kinds
+BAD_NUMBERS = st.one_of(
+    st.floats(),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([0, -1, 1, 2, 10**400, -(10**400), 1e-320, 1e308]),
+)
+# a huge size is a valid config whose dataset or dense Hessian would fill
+# memory, so sizes are drawn small or invalid
+SIZE_KEYS = {"N", "n"}
+SIZES = st.one_of(st.integers(-3, 30), st.floats(), WRONG_TYPES)
+# valid but extreme values reach the driver more often than random numbers
+EXTREME = st.one_of(st.floats(5e-324, 1e308), st.floats(0.0, 1.0), st.sampled_from([1e-320, 1e-300, 1e300]))
+SCALARS = st.one_of(BAD_NUMBERS, EXTREME, WRONG_TYPES)
+
+
+@st.composite
+def fuzzed_configs(draw):
+    raw = json.loads(json.dumps(draw(st.sampled_from(FUZZ_BASES))))
+    raw.setdefault("algo", {})
+    slots = [("problem", key) for key in sorted(cli._PROBLEM_KEYS[raw["problem"]["name"]])]
+    slots += [("orders", key) for key in sorted(cli._ORDERS_KEYS)]
+    slots += [("oracle", key) for key in sorted(cli._ORACLE_KEYS)]
+    slots += [("algo", key) for key in sorted(cli._ALGO_KEYS)]
+    slots += [(None, "seed")]
+    for section, key in draw(st.lists(st.sampled_from(slots), min_size=1, max_size=3, unique=True)):
+        value = draw(SIZES if key in SIZE_KEYS else SCALARS)
+        if section is None:
+            raw[key] = value
+        else:
+            raw[section][key] = value
+    return raw
+
+
+@pytest.fixture(scope="module")
+def fuzz_dataset(tmp_path_factory):
+    from dynreg import make_synthetic_dataset, save_dataset
+
+    path = tmp_path_factory.mktemp("fuzz") / "train.csv"
+    save_dataset(make_synthetic_dataset(120, 3, seed=4), path)
+    return path
+
+
+class TestConfigFuzz:
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(raw=fuzzed_configs())
+    def test_exit_2_before_the_oracle_or_complete_iteration_0(self, fuzz_dataset, raw):
+        # every config either stops at load with exit 2, before the driver
+        # makes its first oracle request, or runs its first iteration to a
+        # trace record; the driver is held to that one iteration
+        if raw["problem"]["name"] == "sigmoid-file":
+            raw["problem"].setdefault("path", str(fuzz_dataset))
+        entered = []
+        real_run = cli.run
+
+        def first_iteration(oracle, x0, params, orders):
+            entered.append(True)
+            return real_run(oracle, x0, dataclasses.replace(params, max_iter=1), orders)
+
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "run", first_iteration)
+            cfg = Path(tmp) / "config.json"
+            cfg.write_text(json.dumps(raw))
+            out = Path(tmp) / "out"
+            code = main(["solve", "--config", str(cfg), "--out", str(out)])
+            if code == EXIT_CONFIG:
+                assert not entered
+            else:
+                assert code in (EXIT_OK, EXIT_BUDGET)
+                assert (out / "trace.jsonl").read_text().count("\n") >= 1

@@ -63,3 +63,82 @@ def test_subsample_matches_sequential_sum(ds, x):
 
 def test_backend_name():
     assert _kernels.backend() == "numpy"
+
+
+@pytest.fixture
+def cold():
+    """Forget the full-batch sigmoid memo before and after a test."""
+    _kernels._last_logits = None
+    yield
+    _kernels._last_logits = None
+
+
+def _cold_call(kernel, ds, x, idx):
+    _kernels._last_logits = None
+    return kernel(ds.features, ds.labels, x, idx)
+
+
+def test_warm_sums_equal_cold_sums_bit_for_bit(ds, x, cold):
+    full = _kernels.full_index(ds.size)
+    cold_results = [_cold_call(kernel, ds, x, full) for kernel in SUMS]
+    _kernels.value_sum(ds.features, ds.labels, x, full)
+    for kernel, want in zip(SUMS, cold_results):
+        assert _kernels._last_logits is not None
+        np.testing.assert_array_equal(kernel(ds.features, ds.labels, x, full), want)
+
+
+def test_memo_values_are_read_only(ds, x, cold):
+    _kernels.grad_sum(ds.features, ds.labels, x, _kernels.full_index(ds.size))
+    with pytest.raises(ValueError):
+        _kernels._last_logits[2][0] = 0.5
+
+
+def test_x_mutated_in_place_gets_fresh_sums(ds, x, cold):
+    full = _kernels.full_index(ds.size)
+    y = x.copy()
+    before = _kernels.grad_sum(ds.features, ds.labels, y, full)
+    y[2] += 0.25
+    for kernel in SUMS:
+        got = kernel(ds.features, ds.labels, y, full)
+        np.testing.assert_array_equal(got, _cold_call(kernel, ds, y, full))
+    assert not np.array_equal(_kernels.grad_sum(ds.features, ds.labels, y, full), before)
+
+
+def test_two_datasets_at_one_x_never_cross(x, cold):
+    # same shape, so only the features object tells the two memo keys apart
+    a = make_synthetic_dataset(300, 5, seed=1)
+    b = make_synthetic_dataset(300, 5, seed=2)
+    full = _kernels.full_index(300)
+    want = {id(d): [_cold_call(kernel, d, x, full) for kernel in SUMS] for d in (a, b)}
+    _kernels._last_logits = None
+    for d in (a, b, a, b, b, a):
+        for kernel, expected in zip(SUMS, want[id(d)]):
+            np.testing.assert_array_equal(kernel(d.features, d.labels, x, full), expected)
+
+
+def test_sampled_index_never_touches_the_memo(ds, x, cold):
+    idx = np.random.default_rng(3).integers(0, ds.size, size=50, dtype=np.int64)
+    for kernel in SUMS:
+        kernel(ds.features, ds.labels, x, idx)
+    assert _kernels._last_logits is None
+    _kernels.value_sum(ds.features, ds.labels, x, _kernels.full_index(ds.size))
+    memo = _kernels._last_logits
+    for kernel in SUMS:
+        kernel(ds.features, ds.labels, x, idx)
+        kernel(ds.features, ds.labels, x + 1.0, idx)
+    assert _kernels._last_logits is memo
+
+
+def test_full_index_is_shared_and_read_only(ds, monkeypatch):
+    from dynreg import make_sigmoid_problem, subsampled_eval
+
+    full = _kernels.full_index(ds.size)
+    assert _kernels.full_index(ds.size) is full
+    np.testing.assert_array_equal(full, np.arange(ds.size))
+    with pytest.raises(ValueError):
+        full[0] = 1
+    seen = []
+    monkeypatch.setattr(_kernels, "value_sum", lambda feats, labels, x, idx: seen.append(idx) or 0.0)
+    subsampled_eval(ds, np.zeros(ds.dim), 0, ds.size, np.random.default_rng(0))
+    make_sigmoid_problem(ds).value(np.zeros(ds.dim))
+    assert len(seen) == 2 and all(idx is full for idx in seen)

@@ -119,6 +119,10 @@ class TestSampleSize:
     def test_clamped_to_population(self):
         assert sample_size(1.0, 1.0, 0.5, 2, 10) == 10
 
+    def test_overflowed_bound_takes_the_population(self):
+        # (kappa/eps)^2 beyond the float range is an infinite bound, not an error
+        assert sample_size(1.0, 1e-200, 0.1, 2, 500) == 500
+
     def test_zero_variance_floor(self):
         assert sample_size(0.0, 0.5, 0.1, 2, 100) == 1
 

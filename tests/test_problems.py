@@ -153,6 +153,18 @@ class TestDataset:
         np.testing.assert_array_equal(back.labels, ds.labels)
         assert back.kappa_bounds == ds.kappa_bounds
 
+    def test_arrays_are_read_only(self, tmp_path):
+        # the kernels' full-batch memo is keyed on the features object, so
+        # rows written in place would be served stale sigmoid values
+        ds = make_synthetic_dataset(40, 3, seed=5)
+        path = tmp_path / "data.csv"
+        save_dataset(ds, path)
+        for d in (ds, load_dataset(path)):
+            with pytest.raises(ValueError):
+                d.features[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                d.labels[0] = 1.0 - d.labels[0]
+
     def test_load_small_literal(self, tmp_path):
         path = tmp_path / "two.csv"
         path.write_text("1,0.5,0.5\n0,-1,2\n")
