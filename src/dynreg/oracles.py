@@ -219,9 +219,9 @@ def subsampled_eval(dataset: Dataset, x: np.ndarray, j: int, m: int, rng, counte
 
     Sampling is with replacement; m = N switches to the exact full sum with
     no randomness consumed, over the shared ``_kernels.full_index(N)``, so
-    the kernels read the rows in place and share one sigmoid pass among the
-    orders requested at one x.  The BLAS reduction order is fixed for a
-    given machine and BLAS, so replays there are bit-identical.
+    the kernels read the feature columns in place and share one sigmoid
+    pass among the orders requested at one x.  The BLAS reduction order is
+    fixed for a given machine and BLAS, so replays there are bit-identical.
     """
     N = dataset.size
     if not 1 <= m <= N:

@@ -135,6 +135,9 @@ class DatasetError(ValueError):
 class Dataset:
     """Feature rows a_i, binary labels b_i, and uniform derivative bounds.
 
+    ``features`` has shape (N, n) and is stored column-major (F-contiguous),
+    so ``features.T`` is a C-order (n, N) array of feature columns.
+
     ``kappa_bounds[j]`` bounds |psi_i| (j = 0), ||grad psi_i|| (j = 1) and
     ||hess psi_i|| (j = 2) uniformly over i and x.
     """
@@ -159,23 +162,30 @@ def psi_bounds(dataset: Dataset) -> tuple[float, float, float]:
 
 def _feature_bounds(features: np.ndarray) -> tuple[float, float, float]:
     # |psi| <= 1; the gradient coefficient 2(b-v)(1-v)v peaks at 8/27 < 2/5
-    # and the Hessian coefficient 2v(1-v)|3v^2-2v(1+b)+b| stays below 1/5
+    # and the Hessian coefficient 2v(1-v)|3v^2-2v(1+b)+b| stays below 1/5.
+    # Row norms are summed over C-order rows, so the bounds, and with them
+    # every sample size, do not depend on the layout of ``features``.
     if features.shape[0] == 0:
         raise DatasetError("dataset is empty")
-    max_norm = float(np.max(np.sqrt(np.sum(features**2, axis=1))))
+    rows = np.ascontiguousarray(features)
+    max_norm = float(np.max(np.sqrt(np.sum(rows**2, axis=1))))
     return (1.0, 2.0 * max_norm / 5.0, max_norm**2 / 5.0)
 
 
 def _make_dataset(features: np.ndarray, labels: np.ndarray) -> Dataset:
-    # read-only, so the kernels' full-batch sigmoid memo, keyed on the
-    # features object, cannot serve values of rows changed in place
-    features = np.ascontiguousarray(features, dtype=float)
+    # Column-major, so the kernels read features.T as C-order columns.  The
+    # bounds come first, so their temporary is freed before the layout copy
+    # is made.  Read-only, so the kernels' full-batch sigmoid memo, keyed on
+    # the features object, cannot serve values of rows changed in place.
+    features = np.asarray(features, dtype=float)
     labels = np.ascontiguousarray(labels, dtype=float)
     if not np.all((labels == 0.0) | (labels == 1.0)):
         raise DatasetError("labels must be 0 or 1")
+    bounds = _feature_bounds(features)
+    features = np.asfortranarray(features)
     features.flags.writeable = False
     labels.flags.writeable = False
-    return Dataset(features=features, labels=labels, kappa_bounds=_feature_bounds(features))
+    return Dataset(features=features, labels=labels, kappa_bounds=bounds)
 
 
 def sigmoid_ls_derivs(a: np.ndarray, b: float, x: np.ndarray):

@@ -10,6 +10,12 @@ promise, so every run that stops with ``optimal_measure`` or
 eps * chi_q(1).  The adversary comes within a fraction of a percent of that
 bound, so a rule that let a certificate rest on too loose a bound would
 show here.
+
+``ValueAdversary`` adds the same attack on function values: exact minus
+the promise at every point but the current derivative origin, where the
+value is exact plus the promise, so every fresh trial value flatters the
+step by twice the promise.  Its runs must also pass every trace check in
+``checks.all_violations``.
 """
 
 import numpy as np
@@ -22,7 +28,9 @@ from dynreg import (
     Orders,
     Schedule,
     TerminationKind,
+    checks,
     chi,
+    complexity_budget,
     make_quadratic,
     make_rosenbrock,
     optimality_measure,
@@ -52,10 +60,37 @@ class AlignedOracle(Oracle):
         return np.asarray(self.problem.hess(x), dtype=float) + eps_j * np.eye(x.size), eps_j
 
 
+class ValueAdversary(AlignedOracle):
+    """Aligned derivative errors, and values off by exactly the promise:
+    high at the current derivative origin, low everywhere else."""
+
+    def __init__(self, problem):
+        super().__init__(problem)
+        self.origin = None
+
+    def request_derivatives(self, x, eps, upto):
+        bundle = super().request_derivatives(x, eps, upto)
+        self.origin = bundle.origin.tobytes()
+        return bundle
+
+    def _compute_function(self, x, eps0):
+        f = float(self.problem.value(x))
+        return (f + eps0 if x.tobytes() == self.origin else f - eps0), eps0
+
+
 def _exact_ratio(problem, x, q, eps):
     """phi(1) / (eps chi_q(1)) from the exact derivatives at x."""
     bundle = DerivativeBundle(origin=x, grad=problem.grad(x), hess=problem.hess(x) if q == 2 else None)
     return optimality_measure(bundle, OPTIMALITY_RADIUS, q).phi / (eps * chi(q, OPTIMALITY_RADIUS))
+
+
+def _check_measure_exit(problem, report, q, eps) -> bool:
+    """Assert the exact bound at a measure exit; whether the run had one."""
+    if report.status.kind not in MEASURE_EXITS:
+        return False
+    ratio = _exact_ratio(problem, report.x_final, q, eps)
+    assert ratio <= 1.0, f"eps={eps:g}: exact measure {ratio:.6f} of its bound at {report.status.kind.value}"
+    return True
 
 
 # steepest descent (p = 1) crawls Rosenbrock's valley for thousands of
@@ -75,8 +110,24 @@ def test_measure_exits_hold_against_aligned_errors(name, problem, starts, orders
     for eps in (1e-2, 1e-4):
         report = run(AlignedOracle(problem), starts[orders.p], AlgoParams(eps=eps, schedule=schedule), orders)
         assert report.status.kind is not TerminationKind.BUDGET
-        if report.status.kind in MEASURE_EXITS:
-            ratio = _exact_ratio(problem, report.x_final, orders.q, eps)
-            assert ratio <= 1.0, f"eps={eps:g}: exact measure {ratio:.6f} of its bound at {report.status.kind.value}"
-            checked += 1
+        checked += _check_measure_exit(problem, report, orders.q, eps)
+    assert checked > 0
+
+
+@pytest.mark.parametrize("schedule", list(Schedule))
+@pytest.mark.parametrize("orders", [Orders(1, 1), Orders(2, 1), Orders(2, 2)], ids=["p1q1", "p2q1", "p2q2"])
+@pytest.mark.parametrize("name, problem, starts", CASES, ids=[c[0] for c in CASES])
+def test_runs_hold_against_adversarial_values(name, problem, starts, orders, schedule):
+    checked = 0
+    x0 = starts[orders.p]
+    for eps in (1e-2, 1e-4):
+        params = AlgoParams(eps=eps, schedule=schedule)
+        report = run(ValueAdversary(problem), x0, params, orders)
+        assert report.status.kind is not TerminationKind.BUDGET
+        budget = None
+        if orders.p in problem.lipschitz:  # Rosenbrock has no global constant
+            L = problem.lipschitz[orders.p]
+            budget = complexity_budget(L, float(problem.value(x0)), problem.f_low, params, orders)
+        assert checks.all_violations(report, budget) == [], f"eps={eps:g}"
+        checked += _check_measure_exit(problem, report, orders.q, eps)
     assert checked > 0

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dynreg import _kernels, make_synthetic_dataset, sigmoid_ls_derivs
+from dynreg import _kernels, load_dataset, make_synthetic_dataset, psi_bounds, save_dataset, sigmoid_ls_derivs
+from dynreg.problems import _make_dataset
 
 SUMS = (_kernels.value_sum, _kernels.grad_sum, _kernels.hess_sum)
 
@@ -35,14 +36,19 @@ def test_full_batch_hessian_matches_sequential_sum(ds, x):
 
 def test_only_the_ordered_full_index_reads_rows_in_place(ds):
     full = np.arange(ds.size, dtype=np.int64)
-    rows, labels = _kernels._rows(ds.features, ds.labels, full)
-    assert rows is ds.features and labels is ds.labels
+    for idx in (full, _kernels.full_index(ds.size)):
+        cols, labels = _kernels._columns(ds.features, ds.labels, idx)
+        assert np.shares_memory(cols, ds.features) and labels is ds.labels
+        assert cols.flags.c_contiguous and cols.shape == (ds.dim, ds.size)
     repeated = full.copy()
     repeated[7] = 6
-    for idx in (full[::-1].copy(), repeated, full[:-1]):
-        rows, labels = _kernels._rows(ds.features, ds.labels, idx)
-        np.testing.assert_array_equal(rows, ds.features[idx])
-        np.testing.assert_array_equal(labels, ds.labels[idx])
+    for idx in (full[::-1].copy(), repeated, full[:-1], full[3:4]):
+        cols, labels = _kernels._columns(ds.features, ds.labels, idx)
+        assert not np.shares_memory(cols, ds.features) and not np.shares_memory(labels, ds.labels)
+        assert cols.flags.c_contiguous
+        order = np.sort(idx)
+        np.testing.assert_array_equal(cols, ds.features[order].T)
+        np.testing.assert_array_equal(labels, ds.labels[order])
 
 
 def test_in_place_sums_match_gathered_sums(ds, x):
@@ -142,3 +148,63 @@ def test_full_index_is_shared_and_read_only(ds, monkeypatch):
     subsampled_eval(ds, np.zeros(ds.dim), 0, ds.size, np.random.default_rng(0))
     make_sigmoid_problem(ds).value(np.zeros(ds.dim))
     assert len(seen) == 2 and all(idx is full for idx in seen)
+
+
+@pytest.fixture(scope="module")
+def blocks_ds():
+    # several Hessian blocks and a ragged last one
+    return make_synthetic_dataset(2 * _kernels.HESS_BLOCK + 37, 5, seed=13)
+
+
+def test_blocked_sums_match_sequential_sums(blocks_ds, x, cold):
+    ds = blocks_ds
+    rng = np.random.default_rng(17)
+    for idx in (
+        _kernels.full_index(ds.size),
+        rng.permutation(ds.size).astype(np.int64),
+        rng.integers(0, ds.size, size=ds.size - 1, dtype=np.int64),
+        rng.integers(0, ds.size, size=_kernels.HESS_BLOCK + 1, dtype=np.int64),
+    ):
+        for kernel, want in zip(SUMS, sequential_sums(ds, x, idx)):
+            got = _cold_call(kernel, ds, x, idx)
+            np.testing.assert_allclose(got, want, rtol=5e-13, atol=1e-16)
+
+
+def test_one_row_sample(ds, x):
+    for i in (0, 123, ds.size - 1):
+        idx = np.array([i], dtype=np.int64)
+        for kernel, want in zip(SUMS, sequential_sums(ds, x, idx)):
+            np.testing.assert_allclose(kernel(ds.features, ds.labels, x, idx), want, rtol=5e-13, atol=1e-16)
+
+
+def _c_order_bounds(rows):
+    max_norm = float(np.max(np.sqrt(np.sum(np.ascontiguousarray(rows) ** 2, axis=1))))
+    return (1.0, 2.0 * max_norm / 5.0, max_norm**2 / 5.0)
+
+
+def _assert_column_major_copy_of(d, rows):
+    assert d.features.flags.f_contiguous and not d.features.flags.writeable
+    assert d.features.shape == rows.shape
+    np.testing.assert_array_equal(d.features, rows)
+    assert d.kappa_bounds == _c_order_bounds(rows)
+    assert psi_bounds(d) == d.kappa_bounds
+
+
+def test_datasets_store_read_only_column_major_features(tmp_path):
+    # at these seeds the largest row norm summed over F-order columns
+    # differs in its last bit from the C-order sum
+    rows = np.random.default_rng(12).standard_normal((57, 20))
+    assert rows.flags.c_contiguous
+    labels = (rows[:, 0] > 0).astype(float)
+    _assert_column_major_copy_of(_make_dataset(rows, labels), rows)
+    _assert_column_major_copy_of(_make_dataset(np.asfortranarray(rows), labels), rows)
+
+    synth = make_synthetic_dataset(57, 20, seed=12)
+    rng = np.random.default_rng(12)  # the generator's draws, replayed
+    want = rng.standard_normal((57, 20))
+    want *= 5.0 / float(np.max(np.sqrt(np.sum(want**2, axis=1))))
+    _assert_column_major_copy_of(synth, want)
+
+    path = tmp_path / "data.csv"
+    save_dataset(synth, path)
+    _assert_column_major_copy_of(load_dataset(path), want)

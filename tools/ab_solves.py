@@ -15,14 +15,17 @@ not.
 
 The output gives, per side, the p50 over solves of each solve's median
 time (the benchmark's ``solve_ms_p50``) and the sum of those medians, then
-the median over solves of the per-solve ratio change/base, and the number
-of solves whose trace (``cli.record_to_json`` of every record) differs
-between the sides.  It ends with each side's totals over the workload of
-complete iterations, function evaluations, derivative evaluations per
-order and ladder shrinks (summed as the benchmark sums them, an aborted
-solve counting its partial trace), so a change that moves the counts
-shows its count and time effects in one interleaved run.  Uses one BLAS
-thread, like the benchmark.
+the median over solves of the per-solve ratio change/base, the number of
+solves whose trace (``cli.record_to_json`` of every record) differs
+between the sides, and the number of solves whose counts differ: the exit
+kind, complete iterations, function evaluations, derivative evaluations
+per order or ladder shrinks.  A change that only moves rounding gives
+differing traces but no differing counts; comparing solve by solve, not
+totals, keeps a +1 on one solve and a -1 on another from cancelling.  It
+ends with each side's totals of those counts over the workload (summed as
+the benchmark sums them, an aborted solve counting its partial trace), so
+a change that moves the counts shows its count and time effects in one
+interleaved run.  Uses one BLAS thread, like the benchmark.
 """
 
 import os
@@ -81,6 +84,10 @@ class Side:
             report = exc
         return report, perf_counter() - t0
 
+    def exit_kind(self, report) -> str:
+        """The status kind of one solve, or ``aborted`` for a ``RunAborted``."""
+        return "aborted" if isinstance(report, self.driver.RunAborted) else report.status.kind.value
+
     @staticmethod
     def counts(report) -> dict[str, int]:
         """Complete iterations, evaluations per order and shrinks of one solve."""
@@ -118,7 +125,7 @@ def main(argv=None) -> int:
     sides = {"base": Side(args.base, "dynreg_base", raws), "change": Side(args.change, "dynreg_change", raws)}
     names = list(sides)
     times = {name: [[] for _ in raws] for name in names}
-    differ = 0
+    differ = count_differ = 0
     totals = {name: {} for name in names}
     for rnd in range(args.rounds + 1):  # round 0 warms up and compares traces
         for i in range(len(raws)):
@@ -127,8 +134,11 @@ def main(argv=None) -> int:
             if rnd == 0:
                 base, change = (sides[n].digest(out[n][0]) for n in names)
                 differ += base != change
+                counts = {n: Side.counts(out[n][0]) for n in names}
+                base, change = ((sides[n].exit_kind(out[n][0]), counts[n]) for n in names)
+                count_differ += base != change
                 for name in names:
-                    for key, value in Side.counts(out[name][0]).items():
+                    for key, value in counts[name].items():
                         totals[name][key] = totals[name].get(key, 0) + value
             else:
                 for name in names:
@@ -142,6 +152,7 @@ def main(argv=None) -> int:
     ratio = statistics.median(c / b for b, c in zip(medians["base"], medians["change"]))
     print(f"median per-solve ratio change/base: {ratio:.4f}")
     print(f"solves with differing traces: {differ} of {len(raws)}")
+    print(f"solves with differing counts: {count_differ} of {len(raws)}")
     for name in names:
         print(f"{name:>6}: " + "  ".join(f"{key} {value}" for key, value in totals[name].items()))
     return 0
