@@ -10,6 +10,7 @@ from .oracles import (
     AccuracyLadder,
     EvalCounters,
     ExactOracle,
+    InvalidPromiseError,
     LadderUnderflowError,
     NoisyOracle,
     NonFiniteEvaluationError,

@@ -39,18 +39,20 @@ def certify_increment(
     driver passes the accuracies the oracle promised for the tensors
     (``DerivativeBundle.achieved_acc``), not the ones it requested: any
     upper bound serves, and a promise is never looser than its request.
-    A NaN or infinite ``delta`` or ``increment`` is rejected, so no
+    A NaN or infinite ``delta``, ``increment`` or tag is rejected, so no
     certificate rests on non-finite data.
     """
     if not (0.0 < delta < math.inf and 0.0 <= increment < math.inf and xi > 0.0 and 0.0 < omega < 1.0):
         raise ValueError("invalid certification arguments")
-    if len(zetas) == 0 or any(z < 0.0 for z in zetas):
-        raise ValueError("zetas must be a nonempty list of nonnegative reals")
+    if len(zetas) == 0:
+        raise ValueError("zetas must be a nonempty list of finite nonnegative reals")
     total = 0.0
     chi_r = 0.0
     fact = 1.0
     power = 1.0
     for j, zeta in enumerate(zetas, start=1):
+        if not 0.0 <= zeta < math.inf:
+            raise ValueError("zetas must be a nonempty list of finite nonnegative reals")
         fact *= j
         power *= delta
         total += zeta * power / fact

@@ -6,10 +6,11 @@ the accuracy its oracle promises for it, and caching defines what counts as
 an evaluation: a value or tensor is recomputed (and counted) only when the
 request is strictly tighter than the promise of the result cached at the
 same point.  An exact result promises zero and so serves every later
-request.  Results that are not finite are rejected before they are cached.
-Three oracles are provided: exact, bounded-noise (deterministic noise
-injected at the accuracy boundary) and subsampled finite-sum with
-operator-Bernstein sample sizes.
+request.  Results that are not finite, and promises that are negative or
+not finite, are rejected before they are cached.  Three oracles are
+provided: exact, bounded-noise (noise injected at the accuracy boundary, a
+pure function of a digest of seed, point, accuracy and order) and
+subsampled finite-sum with operator-Bernstein sample sizes.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "AccuracyLadder",
     "EvalCounters",
     "ExactOracle",
+    "InvalidPromiseError",
     "LadderUnderflowError",
     "NoisyOracle",
     "NonFiniteEvaluationError",
@@ -52,6 +54,10 @@ class LadderUnderflowError(RuntimeError):
 
 class NonFiniteEvaluationError(RuntimeError):
     """An oracle computed a value or tensor with a NaN or infinite entry."""
+
+
+class InvalidPromiseError(RuntimeError):
+    """An oracle promised an accuracy that is negative, NaN or infinite."""
 
 
 @dataclass
@@ -251,8 +257,9 @@ class Oracle:
     Values and derivative tensors follow one cache rule: a cached result is
     reused whenever its promise is at least as tight as the request, and
     is recomputed, and counted, only when the request is strictly tighter.
-    A fresh result that is not finite raises ``NonFiniteEvaluationError``
-    and is not cached.  Only the few most recent points are retained.
+    A fresh result that is not finite raises ``NonFiniteEvaluationError``,
+    one whose promise is negative or not finite ``InvalidPromiseError``, and
+    neither is cached.  Only the few most recent points are retained.
     Each point keeps one derivative bundle per ``upto``, with read-only
     arrays and the Hessian symmetrized once, and builds a new one only
     after one of its orders is recomputed.
@@ -292,7 +299,7 @@ class Oracle:
         self.counters.fun_evals += 1
         if not math.isfinite(value):
             raise NonFiniteEvaluationError(f"function value {value} is not finite")
-        self._fun_cache[key] = (value, promise)
+        self._fun_cache[key] = (value, _checked_promise(promise, 0))
         self._fun_cache.move_to_end(key)
         while len(self._fun_cache) > _CACHE_POINTS:
             self._fun_cache.popitem(last=False)
@@ -324,7 +331,7 @@ class Oracle:
                 self.counters.bump_deriv(j)
                 if not np.isfinite(tensor).all():
                     raise NonFiniteEvaluationError(f"order-{j} derivative has a non-finite entry")
-                entries[j] = (_read_only(np.asarray(tensor, dtype=float).view()), promise)
+                entries[j] = (_read_only(np.asarray(tensor, dtype=float).view()), _checked_promise(promise, j))
                 # the bundles that carry order j now hold a stale tensor
                 for stale in range(j, 3):
                     bundles.pop(stale, None)
@@ -340,6 +347,12 @@ class Oracle:
             if bundle.hess is not None:
                 _read_only(bundle.hess)  # the symmetrized copy
         return bundle
+
+
+def _checked_promise(promise: float, j: int) -> float:
+    if not 0.0 <= promise < math.inf:
+        raise InvalidPromiseError(f"order-{j} promise {promise} is not a finite nonnegative accuracy")
+    return promise
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -368,8 +381,10 @@ class NoisyOracle(Oracle):
 
     The error is noise_fraction * eps times a pseudo-random unit-norm
     tensor (a sign for values, a unit vector for gradients, a symmetric
-    matrix of unit spectral norm for Hessians), derived deterministically
-    from (seed, point, eps, order).  Replays are bit-identical.
+    matrix of unit spectral norm for Hessians), a pure function of the
+    digest of (seed, eps, order, point): a value takes one bit of it as its
+    sign, a derivative draws from the oracle's one generator set to it.
+    Replays are bit-identical; a last-bit change in the point redraws.
     """
 
     def __init__(self, problem: Problem, noise_fraction: float = 0.9, seed: int = 0):
@@ -379,50 +394,32 @@ class NoisyOracle(Oracle):
         self.problem = problem
         self.noise_fraction = noise_fraction
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        self._key = b"%d:" % self.seed  # the colon ends the seed, so no key is a prefix of another
+        self._bits = np.random.PCG64()
+        self._gen = np.random.Generator(self._bits)
 
-    def _rng(self, x: np.ndarray, j: int, eps: float):
-        """The generator ``np.random.default_rng([seed, digest, eps_bits, j])``,
-        seeded from the words numpy derives from that list."""
-        digest = int.from_bytes(hashlib.blake2b(x.tobytes(), digest_size=8).digest(), "little")
-        eps_bits = int.from_bytes(_F64.pack(eps), "little")
-        entropy = _uint32_words(self.seed, digest, eps_bits, j)
-        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    def _digest(self, x: np.ndarray, j: int, eps: float) -> bytes:
+        """blake2b-256 of the seed key, eps and j at fixed width, then x."""
+        return hashlib.blake2b(self._key + struct.pack("<dq", eps, j) + x.tobytes(), digest_size=32).digest()
 
     def _compute_function(self, x, eps0):
-        rng = self._rng(x, 0, eps0)
-        sign = 1.0 if rng.integers(0, 2) else -1.0
+        sign = 1.0 if self._digest(x, 0, eps0)[0] & 1 else -1.0
         return float(self.problem.value(x)) + self.noise_fraction * eps0 * sign, eps0
 
     def _compute_derivative(self, x, j, eps_j):
-        rng = self._rng(x, j, eps_j)
+        d = self._digest(x, j, eps_j)
+        state = {"state": int.from_bytes(d[:16], "little"), "inc": int.from_bytes(d[16:], "little") | 1}
+        self._bits.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
         if j == 1:
-            u = rng.standard_normal(x.size)
+            u = self._gen.standard_normal(x.size)
             u /= math.sqrt(float(u.dot(u)))
             return np.asarray(self.problem.grad(x), dtype=float) + self.noise_fraction * eps_j * u, eps_j
-        m = rng.standard_normal((x.size, x.size))
+        m = self._gen.standard_normal((x.size, x.size))
         s = 0.5 * (m + m.T)
         s /= float(np.abs(np.linalg.eigvalsh(s)).max())
         return np.asarray(self.problem.hess(x), dtype=float) + self.noise_fraction * eps_j * s, eps_j
-
-
-_F64 = struct.Struct("<d")
-_MASK32 = 0xFFFFFFFF
-
-
-def _uint32_words(*values: int) -> np.ndarray:
-    """The uint32 entropy words ``np.random.SeedSequence`` derives from a list
-    of nonnegative ints: each int split into little-endian 32-bit words, the
-    most significant nonzero one last, and 0 giving the one word 0."""
-    words = []
-    for n in values:
-        if n < 0:
-            raise ValueError("expected non-negative integer")
-        words.append(n & _MASK32)
-        n >>= 32
-        while n:
-            words.append(n & _MASK32)
-            n >>= 32
-    return np.array(words, dtype=np.uint32)
 
 
 class SubsampledOracle(Oracle):

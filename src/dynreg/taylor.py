@@ -106,8 +106,8 @@ class DerivativeBundle:
                 raise ValueError("Hessian shape must be n x n")
             self.hess = 0.5 * (h + h.T)
         for j, acc in self.achieved_acc.items():
-            if acc < 0.0:
-                raise ValueError(f"accuracy tag for order {j} must be nonnegative")
+            if not 0.0 <= acc < math.inf:
+                raise ValueError(f"accuracy tag for order {j} must be finite and nonnegative")
 
 
 def taylor_increment(bundle: DerivativeBundle, s: np.ndarray, order: int) -> float:

@@ -187,6 +187,11 @@ class TestValidation:
             certify_increment(**kwargs)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_tags(self, bad):
+        with pytest.raises(ValueError, match="zetas"):
+            certify_increment(1.0, 1.0, (0.1, bad), 0.1, 0.1)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     @pytest.mark.parametrize("field", ["delta", "increment"])
     def test_rejects_non_finite(self, field, bad):
         # NaN passes every ordered comparison, so it needs its own guard

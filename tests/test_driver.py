@@ -283,6 +283,21 @@ class TestAbort:
         assert err.value.trace == []
         assert err.value.counters.deriv_evals == {1: 1}
 
+    def test_nan_promise_aborts_at_iteration_0(self):
+        # a NaN promise never certifies; it must stop the run where it is
+        # made, not drive the ladder into underflow
+        from dynreg import InvalidPromiseError, RunAborted
+
+        class NanPromise(ExactOracle):
+            def _compute_derivative(self, x, j, eps_j):
+                return super()._compute_derivative(x, j, eps_j)[0], float("nan")
+
+        with pytest.raises(RunAborted, match="iteration 0: order-1 promise nan") as err:
+            run(NanPromise(make_rosenbrock()), np.array([-1.2, 1.0]), AlgoParams(eps=1e-5), Orders(2, 1))
+        assert isinstance(err.value.__cause__, InvalidPromiseError)
+        assert sum(r.shrinks for r in err.value.trace) == 0
+        assert err.value.counters.deriv_evals == {1: 1}
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowed_increment_aborts(self):
         # finite data whose step increment overflows: the certification guard

@@ -1,11 +1,7 @@
-import hashlib
-import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dynreg import (
     AccuracyLadder,
@@ -221,55 +217,73 @@ class TestNoisyOracle:
         assert not np.array_equal(tight.grad, loose.grad)
 
 
-# 0, the largest one-word value, the smallest two-word value and 2^63 (the
-# sign bit of a float's pattern), or any value up to three words
-WORD_BOUNDARY_INTS = st.sampled_from([0, 2**32 - 1, 2**32, 2**63]) | st.integers(0, 2**96 - 1)
-FLOAT_PATTERNS = st.sampled_from([0, 2**32 - 1, 2**32, 2**63]) | st.integers(0, 2**64 - 1)
+class TestNoiseKey:
+    """The noise of an evaluation is a pure function of (seed, x, eps, j):
+    one blake2b digest keys it, and the oracle's one generator is re-set
+    from that digest for every derivative draw."""
 
-
-def float_from_bits(bits: int) -> float:
-    return struct.unpack("<d", struct.pack("<Q", bits))[0]
-
-
-class TestNoiseSeeding:
-    """``NoisyOracle._rng`` builds the entropy words numpy derives from the
-    list [seed, digest, eps_bits, j], so its draws equal the list-seeded ones."""
+    X = np.array([0.3, -0.7, 1.1])
+    SEEDS = (0, 1, 10, 255, 256, 2**63, 2**64 - 1, 2**64, 2**64 + 1, 2**128)
 
     @staticmethod
-    def list_seeded(seed, x, j, eps):
-        digest = hashlib.blake2b(x.tobytes(), digest_size=8).digest()
-        eps_bits = int(np.float64(eps).view(np.uint64))
-        return np.random.default_rng([seed, int.from_bytes(digest, "little"), eps_bits, j])
+    def evaluate(oracle, x, j, eps):
+        """A fresh order-j result at x: the value, gradient or Hessian."""
+        if j == 0:
+            return oracle.request_function(x, eps)
+        bundle = oracle.request_derivatives(x, {1: eps, 2: eps}, upto=j)
+        return bundle.grad if j == 1 else bundle.hess
 
-    @settings(deadline=None, max_examples=200)
-    @given(values=st.tuples(WORD_BOUNDARY_INTS, WORD_BOUNDARY_INTS, WORD_BOUNDARY_INTS, st.integers(0, 2)))
-    def test_words_equal_the_list_seed(self, values):
-        words = oracles._uint32_words(*values)
-        assert words.dtype == np.uint32
-        expected = np.random.SeedSequence(list(values)).generate_state(8)
-        np.testing.assert_array_equal(np.random.SeedSequence(words).generate_state(8), expected)
+    def noise(self, seed, x, j, eps):
+        oracle = NoisyOracle(make_quadratic(np.ones(x.size)), 0.9, seed=seed)
+        exact = (oracle.problem.value, oracle.problem.grad, oracle.problem.hess)[j](x)
+        return self.evaluate(oracle, x, j, eps) - exact
 
-    @settings(deadline=None, max_examples=200)
-    @given(
-        seed=WORD_BOUNDARY_INTS,
-        eps_bits=FLOAT_PATTERNS,
-        j=st.integers(0, 2),
-        x=st.lists(st.floats(allow_nan=False), min_size=1, max_size=5),
-    )
-    def test_rng_draws_equal_the_list_seeded_generator(self, seed, eps_bits, j, x):
-        x = np.array(x)
-        eps = float_from_bits(eps_bits)
-        ours = NoisyOracle(make_quadratic(np.ones(x.size)), 0.9, seed=seed)._rng(x, j, eps)
-        ref = self.list_seeded(seed, x, j, eps)
-        np.testing.assert_array_equal(ours.integers(0, 2**63, size=4), ref.integers(0, 2**63, size=4))
-        np.testing.assert_array_equal(ours.standard_normal(3), ref.standard_normal(3))
+    @pytest.mark.parametrize("seed", [3, 2**64 + 5])
+    def test_replays_equal_across_instances(self, seed):
+        prob = make_rosenbrock()
+        a, b = NoisyOracle(prob, 0.9, seed=seed), NoisyOracle(prob, 0.9, seed=seed)
+        for x in (np.array([-1.2, 1.0]), np.array([0.5, 0.25])):
+            for j in (0, 1, 2):
+                for eps in (0.3, 1e-4):
+                    np.testing.assert_array_equal(self.evaluate(a, x, j, eps), self.evaluate(b, x, j, eps))
 
-    def test_negative_seed_raises_like_numpy(self):
-        oracle = NoisyOracle(make_quadratic(np.ones(2)), 0.9, seed=-1)
-        with pytest.raises(ValueError):
-            self.list_seeded(-1, np.ones(2), 1, 0.1)
-        with pytest.raises(ValueError):
-            oracle.request_derivatives(np.ones(2), {1: 0.1}, upto=1)
+    def test_each_key_part_changes_the_draw(self):
+        eps = 0.1
+        last_bit = self.X.copy()
+        last_bit[-1] = np.nextafter(last_bit[-1], np.inf)
+        for j in (1, 2):
+            base = self.noise(0, self.X, j, eps)
+            for seed, x, e in ((1, self.X, eps), (0, last_bit, eps), (0, self.X, np.nextafter(eps, 1.0))):
+                assert np.abs(self.noise(seed, x, j, e) - base).max() > 1e-3 * eps
+        oracle = NoisyOracle(make_quadratic(np.ones(3)), 0.9, seed=0)
+        assert len({oracle._digest(self.X, j, eps) for j in (0, 1, 2)}) == 3
+
+    def test_draw_does_not_depend_on_earlier_evaluations(self):
+        prob = make_rosenbrock()
+        x = np.array([0.3, -0.7])
+        fresh = NoisyOracle(prob, 0.9, seed=7)
+        used = NoisyOracle(prob, 0.9, seed=7)
+        for k in range(5):  # odd and even numbers of draws in between
+            y = x + 0.1 * (k + 1)
+            used.request_function(y, 0.2)
+            used.request_derivatives(y, {1: 0.2, 2: 0.2}, upto=1 + k % 2)
+        for j in (2, 1, 0):
+            np.testing.assert_array_equal(self.evaluate(used, x, j, 0.05), self.evaluate(fresh, x, j, 0.05))
+
+    def test_seeds_beyond_64_bits_are_distinct_and_negative_raises(self):
+        # the key ends the seed with a colon, so 0 and 2**64 (or 1 and 10) do not collide
+        prob = make_quadratic(np.ones(3))
+        digests = {NoisyOracle(prob, 0.9, seed=seed)._digest(self.X, 1, 0.1) for seed in self.SEEDS}
+        assert len(digests) == len(self.SEEDS)
+        big = self.noise(2**128, self.X, 2, 0.1)
+        assert np.max(np.abs(np.linalg.eigvalsh(big))) == pytest.approx(0.09, rel=1e-12)
+        with pytest.raises(ValueError, match="seed"):
+            NoisyOracle(prob, 0.9, seed=-1)
+
+    def test_sign_frequency_and_magnitude(self):
+        noise = np.array([self.noise(11, np.array([1e-3 * i]), 0, 0.1) for i in range(2000)])
+        np.testing.assert_allclose(np.abs(noise), 0.09, rtol=1e-9)
+        assert 0.45 <= np.mean(noise > 0.0) <= 0.55
 
 
 class TestBundlePerCacheState:
@@ -465,6 +479,38 @@ class TestNonFiniteResults:
         with pytest.raises(NonFiniteEvaluationError):
             oracle.request_derivatives(x, {1: 1.0, 2: 1.0}, upto=2)
         assert oracle.counters.deriv_evals == {1: 1, 2: 2}
+
+
+class TestInvalidPromise:
+    """A promise that is negative, NaN or infinite raises where it is made,
+    names its order, and is never cached."""
+
+    @staticmethod
+    def oracle(promise, bad_order):
+        class BadPromise(ExactOracle):
+            def _compute_function(self, x, eps0):
+                value, ok = super()._compute_function(x, eps0)
+                return value, promise if bad_order == 0 else ok
+
+            def _compute_derivative(self, x, j, eps_j):
+                tensor, ok = super()._compute_derivative(x, j, eps_j)
+                return tensor, promise if j == bad_order else ok
+
+        return BadPromise(make_rosenbrock())
+
+    @pytest.mark.parametrize("promise", [float("nan"), float("inf"), -1e-3])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_rejected_when_computed(self, promise, order):
+        oracle = self.oracle(promise, order)
+        x = np.array([0.5, 0.5])
+        for count in (1, 2):
+            with pytest.raises(oracles.InvalidPromiseError, match=f"order-{order} promise"):
+                if order == 0:
+                    oracle.request_function(x, 0.1)
+                else:
+                    oracle.request_derivatives(x, {1: 0.1, 2: 0.1}, upto=2)
+            done = oracle.counters.fun_evals if order == 0 else oracle.counters.deriv_evals[order]
+            assert done == count
 
 
 class TestPsiBounds:

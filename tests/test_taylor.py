@@ -28,6 +28,12 @@ def bundle(grad=None, hess=None, value=None, n=None):
     )
 
 
+@pytest.mark.parametrize("tag", [-1e-3, float("nan"), float("inf")])
+def test_bundle_rejects_invalid_accuracy_tags(tag):
+    with pytest.raises(ValueError, match="order 2"):
+        DerivativeBundle(origin=np.zeros(1), grad=np.zeros(1), achieved_acc={1: 0.1, 2: tag})
+
+
 class TestScalars:
     def test_holder_factorial(self):
         assert holder_factorial(0, 0.5) == 1.0

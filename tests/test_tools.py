@@ -22,6 +22,17 @@ def test_ab_solves_finds_no_trace_difference_against_itself():
     assert base == change and "iterations" in base
 
 
+def test_ab_solves_repeats_in_fresh_interpreters_with_alternating_load_order():
+    out = run_tool(
+        "tools/ab_solves.py", "--base", str(ROOT), "--workload", "finite-sum-hess", "--rounds", "1", "--repeats", "2"
+    )
+    assert "--- repeat 0 (base loaded first)" in out and "--- repeat 1 (change loaded first)" in out
+    assert out.count("solves with differing traces: 0 of 6") == 2
+    lines = out.splitlines()
+    assert lines[-3].startswith("repeat 0 (base first): ") and lines[-2].startswith("repeat 1 (change first): ")
+    assert lines[-1].startswith("median over repeats: ")
+
+
 def test_trace_digests_repeat_exactly():
     args = ("tools/trace_digests.py", "--workload", "finite-sum-hess")
     first = run_tool(*args)

@@ -3,6 +3,7 @@
 Run from the repository root, with the other checkout's root as ``--base``:
 
     python3 tools/ab_solves.py --base ../dynreg-parent --workload many-small --seed 0 --rounds 8
+    python3 tools/ab_solves.py --base ../dynreg-parent --workload many-small --seed 0 --rounds 8 --repeats 4
 
 The two checkouts' ``src/dynreg`` are imported into one interpreter as two
 separately named packages, ``dynreg_base`` and ``dynreg_change`` (the
@@ -26,6 +27,17 @@ ends with each side's totals of those counts over the workload (summed as
 the benchmark sums them, an aborted solve counting its partial trace), so
 a change that moves the counts shows its count and time effects in one
 interleaved run.  Uses one BLAS thread, like the benchmark.
+
+Per-process state (where each side's arrays and code land) can move one
+side by a few percent for the life of an interpreter, whichever side that
+is.  ``--repeats R`` therefore runs R repeats, each in a fresh interpreter,
+loading the base side first in even repeats and the change side first in
+odd ones (``--load-first`` sets it for a single run).  It prints every
+repeat's output, then one line per repeat with its median per-solve ratio,
+its p50 ratio and its ratio of the sums of medians, then the medians of
+each over the repeats.  A difference that keeps its sign across repeats
+and load orders is the code's; one that follows the load order is the
+process's.
 """
 
 import os
@@ -38,7 +50,9 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import re
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -110,6 +124,29 @@ class Side:
         return h.hexdigest()
 
 
+RATIO_LINE = re.compile(r"median per-solve ratio change/base: ([0-9.]+)")
+SIDE_LINE = re.compile(r"^\s*(base|change): p50 ([0-9.]+) ms   sum of medians ([0-9.]+) s", re.MULTILINE)
+
+
+def repeats(args) -> int:
+    """Run ``args.repeats`` fresh interpreters, alternating the load order, and summarize their ratios."""
+    rows = []
+    for k in range(args.repeats):
+        first = ("base", "change")[k % 2]
+        cmd = [sys.executable, str(Path(__file__).resolve()), "--base", str(args.base), "--change", str(args.change)]
+        cmd += ["--workload", args.workload, "--seed", str(args.seed), "--rounds", str(args.rounds)]
+        out = subprocess.run(cmd + ["--load-first", first], check=True, capture_output=True, text=True).stdout
+        print(f"--- repeat {k} ({first} loaded first)\n{out}", end="", flush=True)
+        side = {name: (float(p50), float(total)) for name, p50, total in SIDE_LINE.findall(out)}
+        ratio = float(RATIO_LINE.search(out).group(1))
+        rows.append((ratio, side["change"][0] / side["base"][0], side["change"][1] / side["base"][1]))
+    print("--- per repeat, change/base: median per-solve ratio, p50 ratio, sum-of-medians ratio")
+    for k, row in enumerate(rows):
+        print(f"repeat {k} ({('base', 'change')[k % 2]} first): " + "  ".join(f"{r:.4f}" for r in row))
+    print("median over repeats: " + "  ".join(f"{statistics.median(col):.4f}" for col in zip(*rows)))
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--base", type=Path, required=True, help="root of the base checkout")
@@ -117,13 +154,21 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", choices=sorted(WORKLOADS), default="many-small")
     parser.add_argument("--seed", type=int, default=0, help="workload seed")
     parser.add_argument("--rounds", type=int, default=8, help="timed rounds after one warm-up round")
+    parser.add_argument("--repeats", type=int, default=1, help="repeats, each in a fresh interpreter")
+    parser.add_argument("--load-first", choices=("base", "change"), default="base", help="side imported first")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    if args.repeats > 1:
+        return repeats(args)
 
     raws = WORKLOADS[args.workload](args.seed)
-    sides = {"base": Side(args.base, "dynreg_base", raws), "change": Side(args.change, "dynreg_change", raws)}
-    names = list(sides)
+    names = ["base", "change"]
+    roots = {"base": args.base, "change": args.change}
+    load_order = names if args.load_first == "base" else names[::-1]
+    sides = {name: Side(roots[name], f"dynreg_{name}", raws) for name in load_order}
     times = {name: [[] for _ in raws] for name in names}
     differ = count_differ = 0
     totals = {name: {} for name in names}
