@@ -11,13 +11,13 @@ derivatives are requested again.  A promise is never looser than its
 request, and exact and full-batch results promise zero, so on such data
 every positive increment certifies at once.
 
-Under the FLEXIBLE schedule each iteration starts its ladder at the
+The ladder is one accuracy, requested for every derivative order, and
+only the driver resets it.  Under FLEXIBLE each iteration resets it to the
 loosest rung the previous iteration's certificates allow: every site
 (measure, step, model) that certified at a rung above 0 records the
-loosest rung at which the same increment would still certify against
-the requested accuracies, and the next iteration starts at the tightest
-of those records, or at kappa_eps when there are none.  MONOTONIC carries
-the ladder across iterations unchanged.
+loosest rung at which the same increment would still certify against the
+request, and the next iteration starts at the tightest of those records,
+or at kappa_eps when there are none.  MONOTONIC never resets the ladder.
 """
 
 from __future__ import annotations
@@ -35,6 +35,14 @@ from .taylor import Orders, chi
 
 
 class TerminationKind(str, Enum):
+    """Why a run stopped.  ``optimal_measure`` and ``negligible_increment``
+    bound the exact optimality measure at radius 1 by eps * chi_q(1).
+    ``strong_model_optimality`` certifies the regularized model, not f: the
+    Taylor increment at its global minimizer certifies only absolutely
+    (flag 1 or 3), so no model step is known to decrease f.  It does not
+    bound ||grad f|| by eps: noisy Rosenbrock runs exit there at up to 7.4 eps.
+    """
+
     OPTIMAL_MEASURE = "optimal_measure"
     NEGLIGIBLE_INCREMENT = "negligible_increment"
     STRONG_MODEL_OPTIMALITY = "strong_model_optimality"
@@ -147,8 +155,8 @@ def _certify(stage, flags, starts, ladder, delta, increment, acc, order, omega, 
 
     Under FLEXIBLE ``starts`` is a dict (under MONOTONIC it is None), and
     a certificate at a rung above 0 records in ``starts[stage]`` the
-    loosest rung at which the ladder's requested accuracies, taken as
-    the increment's tags, would still certify it.  The request, not the
+    loosest rung at which the ladder's requested accuracy, taken as the
+    tag of every order, would still certify it.  The request, not the
     promise, sets that rung: a full-batch promise of 0 says nothing about
     the subsample a looser request would draw.  The model site takes the
     request as is, not through ``model_accuracy``: near convergence its
@@ -164,7 +172,7 @@ def _certify(stage, flags, starts, ladder, delta, increment, acc, order, omega, 
     if flag is CertifyFlag.NOT_CERTIFIED:
         ladder.shrink()
     elif starts is not None and ladder.i_eps:
-        room = certificate_room(delta, increment, [ladder.eps[j] for j in range(1, order + 1)], omega, xi)
+        room = certificate_room(delta, increment, [ladder.eps] * order, omega, xi)
         starts[stage] = ladder.loosest_rung(room)
     return flag
 
@@ -180,8 +188,7 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
     eps = params.eps
     sigma = params.sigma0
     omega = params.omega0
-    ladder = AccuracyLadder.initial(orders.p, params.gamma_eps, params.kappa_eps, params.schedule)
-    long_step = params.mu * eps ** (1.0 / orders.gap)
+    ladder = AccuracyLadder(params.gamma_eps, params.kappa_eps)
     kw = params.kappa_omega
     xi_d_scale = params.vartheta * (1.0 - kw) / (1.0 + kw) ** 2 * 0.5
     chi_q = chi(orders.q, OPTIMALITY_RADIUS)
@@ -196,11 +203,9 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
     try:
         for k in range(params.max_iter):
             oracle.begin_iteration()
-            if starts:
-                ladder.reset(max(starts.values()))
+            if starts is not None:
+                ladder.reset(max(starts.values(), default=0))
                 starts.clear()
-            else:
-                ladder.reset()
             base = _counts(counters)
             flags = []
             xi_abs = 0.5 * omega * eps
@@ -246,7 +251,7 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
                             TerminationKind.STRONG_MODEL_OPTIMALITY, step.step_norm, k, step.increment
                         )
                         break
-                if step.step_norm >= long_step:
+                if step.measure_increment is None:  # a long step needs no model certificate
                     break
                 flag = _certify(
                     "model", flags, starts, ladder, OPTIMALITY_RADIUS, max(0.0, step.measure_increment),
@@ -277,7 +282,7 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
                     step_norm=step_norm,
                     success=success,
                     delta_k=None if rho is None else OPTIMALITY_RADIUS,
-                    eps_ladder=ladder.snapshot(),
+                    eps_ladder=(ladder.eps,) * orders.p,
                     shrinks=[f for _, f in flags].count(not_certified),
                     flags=tuple(flags),
                     fun_evals=now[0] - base[0],

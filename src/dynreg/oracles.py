@@ -1,7 +1,8 @@
 """Inexact evaluation providers with explicit accuracy contracts.
 
-An oracle serves function values at a requested absolute accuracy and
-derivative tensors at per-order absolute accuracies.  Every result carries
+An oracle serves function values and derivative tensors of orders 1..upto
+at one requested absolute accuracy, a finite positive number; any other
+request raises ``ValueError`` before the cache is read.  Every result carries
 the accuracy its oracle promises for it, and caching defines what counts as
 an evaluation: a value or tensor is recomputed (and counted) only when the
 request is strictly tighter than the promise of the result cached at the
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import LADDER_TINY, Schedule
+from .params import LADDER_TINY
 from .problems import Dataset, Problem
 from .taylor import DerivativeBundle, Orders
 from . import _kernels
@@ -62,38 +63,27 @@ class InvalidPromiseError(RuntimeError):
 
 @dataclass
 class AccuracyLadder:
-    """Current absolute accuracy thresholds eps_j for orders 1..p.
+    """The absolute accuracy eps requested for every derivative order.
 
-    Rung i holds kappa_eps * gamma_eps^i for every order, built by i
-    shrinks from kappa_eps; every shrink multiplies all thresholds by
-    gamma_eps.  Under the FLEXIBLE schedule ``reset(rung)`` starts each
-    outer iteration at the given rung (the driver passes the loosest rung
-    the previous iteration's certificates allow, 0 being kappa_eps); under
-    MONOTONIC it is a no-op, so thresholds never increase over a run.
+    Rung i holds kappa_eps * gamma_eps^i, built by i shrinks from kappa_eps
+    (a reset to rung i carries the bits of i shrinks).  The ladder has no
+    schedule: the driver resets it for each FLEXIBLE iteration and never
+    under MONOTONIC.
     """
 
-    eps: dict[int, float]
     gamma_eps: float
     kappa_eps: float
-    mode: Schedule
-    i_eps: int = 0
+    eps: float = field(init=False)
+    i_eps: int = field(init=False)
 
-    @classmethod
-    def initial(cls, p: int, gamma_eps: float, kappa_eps: float, mode: Schedule) -> "AccuracyLadder":
-        return cls(
-            eps={j: kappa_eps for j in range(1, p + 1)},
-            gamma_eps=gamma_eps,
-            kappa_eps=kappa_eps,
-            mode=Schedule(mode),
-        )
+    def __post_init__(self):
+        self.reset()
 
     def reset(self, rung: int = 0) -> None:
-        if self.mode is Schedule.FLEXIBLE:
-            for j in self.eps:
-                self.eps[j] = self.kappa_eps
-            self.i_eps = 0
-            while self.i_eps < rung:
-                self.shrink()
+        self.eps = self.kappa_eps
+        self.i_eps = 0
+        while self.i_eps < rung:
+            self.shrink()
 
     def loosest_rung(self, room: float) -> int:
         """The loosest rung at which a certificate made at the current rung
@@ -111,17 +101,10 @@ class AccuracyLadder:
         return rung
 
     def shrink(self) -> None:
-        for j in self.eps:
-            self.eps[j] *= self.gamma_eps
-            if self.eps[j] < LADDER_TINY:
-                raise LadderUnderflowError(
-                    f"accuracy threshold for order {j} underflowed below {LADDER_TINY:g} "
-                    f"after {self.i_eps + 1} shrinks"
-                )
+        self.eps *= self.gamma_eps
+        if self.eps < LADDER_TINY:
+            raise LadderUnderflowError(f"accuracy threshold below {LADDER_TINY:g} after {self.i_eps + 1} shrinks")
         self.i_eps += 1
-
-    def snapshot(self) -> tuple[float, ...]:
-        return tuple(self.eps[j] for j in sorted(self.eps))
 
 
 @dataclass
@@ -257,6 +240,7 @@ class Oracle:
     Values and derivative tensors follow one cache rule: a cached result is
     reused whenever its promise is at least as tight as the request, and
     is recomputed, and counted, only when the request is strictly tighter.
+    A request that is not a finite positive number raises ``ValueError``.
     A fresh result that is not finite raises ``NonFiniteEvaluationError``,
     one whose promise is negative or not finite ``InvalidPromiseError``, and
     neither is cached.  Only the few most recent points are retained.
@@ -287,8 +271,7 @@ class Oracle:
 
     # -- request protocol ---------------------------------------------------
     def request_function(self, x: np.ndarray, eps0: float) -> float:
-        if eps0 <= 0.0:
-            raise ValueError("eps0 must be positive")
+        _check_request(eps0)
         x = np.ascontiguousarray(x, dtype=float)
         key = x.tobytes()
         hit = self._fun_cache.get(key)
@@ -305,12 +288,15 @@ class Oracle:
             self._fun_cache.popitem(last=False)
         return value
 
-    def request_derivatives(self, x: np.ndarray, eps: dict[int, float], upto: int) -> DerivativeBundle:
-        """The bundle of orders 1..upto at x, built only when an order is recomputed.
+    def request_derivatives(self, x: np.ndarray, eps: float, upto: int) -> DerivativeBundle:
+        """The bundle of orders 1..upto at x, each requested at accuracy eps.
 
-        Every request served from the same cache state gets the same bundle,
-        so its arrays are read-only and callers must not modify it.
+        Order j is recomputed only when its own promise is looser than eps,
+        and the bundle is built only when an order is recomputed.  Every
+        request served from the same cache state gets the same bundle, so
+        its arrays are read-only and callers must not modify it.
         """
+        _check_request(eps)
         if upto not in (1, 2):
             raise ValueError("upto must be 1 or 2")
         x = np.ascontiguousarray(x, dtype=float)
@@ -326,8 +312,8 @@ class Oracle:
         entries, bundles = point
         for j in range(1, upto + 1):
             entry = entries.get(j)
-            if entry is None or entry[1] > eps[j]:
-                tensor, promise = self._compute_derivative(x, j, eps[j])
+            if entry is None or entry[1] > eps:
+                tensor, promise = self._compute_derivative(x, j, eps)
                 self.counters.bump_deriv(j)
                 if not np.isfinite(tensor).all():
                     raise NonFiniteEvaluationError(f"order-{j} derivative has a non-finite entry")
@@ -347,6 +333,11 @@ class Oracle:
             if bundle.hess is not None:
                 _read_only(bundle.hess)  # the symmetrized copy
         return bundle
+
+
+def _check_request(eps: float) -> None:
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"requested accuracy {eps} is not a finite positive number")
 
 
 def _checked_promise(promise: float, j: int) -> float:

@@ -16,12 +16,12 @@ MAX_FIRST_SHRINKS = 100_000
 
 
 class Schedule(str, Enum):
-    """How the absolute-accuracy ladder evolves across outer iterations.
+    """How the driver moves the accuracy ladder across outer iterations.
 
-    FLEXIBLE restarts the ladder at every iteration, at the loosest rung
+    FLEXIBLE resets the ladder at every iteration, to the loosest rung
     the previous iteration's certificates allow (kappa_eps when they were
     all made there), so it may loosen from one iteration to the next;
-    MONOTONIC initializes it once and only ever tightens it.
+    MONOTONIC never resets it, so it only ever tightens.
     """
 
     FLEXIBLE = "flexible"

@@ -328,7 +328,7 @@ def tag_request(base):
     class TagRequest(base):
         def request_derivatives(self, x, eps, upto):
             bundle = super().request_derivatives(x, eps, upto)
-            bundle.achieved_acc = {j: eps[j] for j in bundle.achieved_acc}
+            bundle.achieved_acc = {j: eps for j in bundle.achieved_acc}
             return bundle
 
     return TagRequest
@@ -441,7 +441,7 @@ class TestModelSiteBound:
         class ExactGradient(ExactOracle):
             def request_derivatives(self, x, eps, upto):
                 bundle = super().request_derivatives(x, eps, upto)
-                bundle.achieved_acc = {j: 0.0 if j == 1 else eps[j] for j in bundle.achieved_acc}
+                bundle.achieved_acc = {j: 0.0 if j == 1 else eps for j in bundle.achieved_acc}
                 return bundle
 
         calls = []
@@ -471,18 +471,18 @@ class TestModelSiteBound:
 
 class TestSchedules:
     def test_monotonic_ladder_never_increases(self):
-        prob = make_rosenbrock()
+        # exact values promising only the request, so the ladder shrinks;
+        # FLEXIBLE widens on this run (see test_flexible_ladder_resets)
         report = run(
-            ExactOracle(prob),
+            NoisyOracle(make_rosenbrock(), noise_fraction=0.0),
             np.array([-1.2, 1.0]),
             AlgoParams(eps=1e-3, schedule=Schedule.MONOTONIC),
             Orders(p=2, q=1),
         )
-        prev = None
-        for rec in report.trace:
-            if prev is not None:
-                assert all(a <= b for a, b in zip(rec.eps_ladder, prev))
-            prev = rec.eps_ladder
+        assert report.total_shrinks > 0
+        ends = [rec.eps_ladder[0] for rec in report.trace]
+        assert all(rec.eps_ladder == (e, e) for rec, e in zip(report.trace, ends))  # one threshold, p copies
+        assert all(b <= a for a, b in zip(ends, ends[1:]))
 
     def test_monotonic_subsampled_solve(self):
         ds = make_synthetic_dataset(800, 6, seed=21)
@@ -523,10 +523,9 @@ class TestFlexibleStart:
     iteration's certificates allow against the ladder's request."""
 
     @staticmethod
-    def ladder_at(rung, p=1):
-        ladder = AccuracyLadder.initial(p, 0.1, 1.0, Schedule.FLEXIBLE)
-        for _ in range(rung):
-            ladder.shrink()
+    def ladder_at(rung):
+        ladder = AccuracyLadder(0.1, 1.0)
+        ladder.reset(rung)
         return ladder
 
     def test_rung_zero_certificate_records_nothing(self):
@@ -547,7 +546,7 @@ class TestFlexibleStart:
     def test_zero_increment_uses_xi_over_the_largest_request(self):
         # flag 1 at rung 4: room xi / 1e-4 = 500, two rungs
         starts = {}
-        ladder = self.ladder_at(4, p=2)
+        ladder = self.ladder_at(4)
         flag = driver._certify("step", [], starts, ladder, 0.5, 0.0, {1: 0.0, 2: 0.0}, 2, 0.0625, 0.05)
         assert flag is CertifyFlag.ZERO_INCREMENT
         assert starts == {"step": 2}
@@ -557,7 +556,7 @@ class TestFlexibleStart:
         # request itself: xi / 1e-3 = 13 is one rung of room, where the
         # tripled tags would leave 13 / 3 and none
         starts = {}
-        ladder = self.ladder_at(3, p=2)
+        ladder = self.ladder_at(3)
         flag = driver._certify("model", [], starts, ladder, 1.0, 0.0, {1: 3e-3}, 1, 0.0625, 0.013)
         assert flag is CertifyFlag.ZERO_INCREMENT
         assert starts == {"model": 2}
@@ -602,7 +601,7 @@ class TestFlexibleStart:
         assert i == len(calls)
 
         def request(rung, order):
-            return list(self.ladder_at(rung, p=2).snapshot()[:order])
+            return [self.ladder_at(rung).eps] * order
 
         def loosest(call):
             # the loosest rung at which the request certifies the same increment

@@ -10,7 +10,6 @@ from dynreg import (
     NoisyOracle,
     NonFiniteEvaluationError,
     Orders,
-    Schedule,
     StochasticConfig,
     SubsampledOracle,
     failure_probability,
@@ -27,56 +26,42 @@ from dynreg.problems import sigmoid_ls_derivs, _make_dataset
 
 class TestAccuracyLadder:
     def test_flexible_resets(self):
-        ladder = AccuracyLadder.initial(2, 0.1, 1.0, Schedule.FLEXIBLE)
+        ladder = AccuracyLadder(0.1, 1.0)
+        assert (ladder.eps, ladder.i_eps) == (1.0, 0)
         ladder.shrink()
         ladder.shrink()
-        assert ladder.snapshot() == (0.010000000000000002, 0.010000000000000002)
+        assert ladder.eps == 0.010000000000000002
         assert ladder.i_eps == 2
         ladder.reset()
-        assert ladder.snapshot() == (1.0, 1.0)
+        assert ladder.eps == 1.0
         assert ladder.i_eps == 0
 
-    def test_monotonic_never_resets(self):
-        ladder = AccuracyLadder.initial(1, 0.5, 1.0, Schedule.MONOTONIC)
-        ladder.shrink()
-        ladder.reset()
-        assert ladder.snapshot() == (0.5,)
-        assert ladder.i_eps == 1
-
     def test_thresholds_never_exceed_cap(self):
-        ladder = AccuracyLadder.initial(2, 0.3, 0.7, Schedule.FLEXIBLE)
+        ladder = AccuracyLadder(0.3, 0.7)
         for _ in range(5):
-            assert all(v <= 0.7 for v in ladder.snapshot())
+            assert ladder.eps <= 0.7
             ladder.shrink()
         ladder.reset()
-        assert all(v <= 0.7 for v in ladder.snapshot())
+        assert ladder.eps <= 0.7
 
     def test_underflow_raises(self):
-        ladder = AccuracyLadder.initial(1, 1e-160, 1.0, Schedule.FLEXIBLE)
+        ladder = AccuracyLadder(1e-160, 1.0)
         ladder.shrink()
         with pytest.raises(LadderUnderflowError):
             ladder.shrink()
 
     def test_flexible_reset_to_rung_matches_shrinks(self):
-        # the thresholds at rung i carry the bits of i shrinks from kappa_eps
-        shrunk = AccuracyLadder.initial(2, 0.3, 0.7, Schedule.FLEXIBLE)
+        # the threshold at rung i carries the bits of i shrinks from kappa_eps
+        shrunk = AccuracyLadder(0.3, 0.7)
         for _ in range(4):
             shrunk.shrink()
-        ladder = AccuracyLadder.initial(2, 0.3, 0.7, Schedule.FLEXIBLE)
+        ladder = AccuracyLadder(0.3, 0.7)
         ladder.shrink()
         ladder.reset(4)
-        assert ladder.snapshot() == shrunk.snapshot()
+        assert ladder.eps == shrunk.eps
         assert ladder.i_eps == 4
         ladder.reset(0)
-        assert ladder.snapshot() == (0.7, 0.7) and ladder.i_eps == 0
-
-    def test_monotonic_ignores_the_start_rung(self):
-        ladder = AccuracyLadder.initial(1, 0.5, 1.0, Schedule.MONOTONIC)
-        ladder.shrink()
-        ladder.shrink()
-        ladder.reset(1)
-        assert ladder.snapshot() == (0.25,)
-        assert ladder.i_eps == 2
+        assert ladder.eps == 0.7 and ladder.i_eps == 0
 
     @pytest.mark.parametrize("gamma", [0.1, 0.5])
     @pytest.mark.parametrize(
@@ -92,12 +77,12 @@ class TestAccuracyLadder:
         ],
     )
     def test_loosest_rung_at_powers_of_the_widening(self, gamma, room_of_widen, expected):
-        ladder = AccuracyLadder.initial(2, gamma, 1.0, Schedule.FLEXIBLE)
+        ladder = AccuracyLadder(gamma, 1.0)
         ladder.reset(3)
         assert ladder.loosest_rung(room_of_widen(1.0 / gamma)) == expected
 
     def test_loosest_rung_clamps(self):
-        ladder = AccuracyLadder.initial(1, 0.1, 1.0, Schedule.FLEXIBLE)
+        ladder = AccuracyLadder(0.1, 1.0)
         ladder.reset(2)
         # never tighter than the current rung, never looser than kappa_eps
         assert ladder.loosest_rung(0.5) == 2
@@ -144,23 +129,23 @@ class TestExactOracle:
         assert self.oracle.counters.fun_evals == 1
 
     def test_derivatives_counted_per_order(self):
-        b = self.oracle.request_derivatives(self.x, {1: 1.0, 2: 1.0}, upto=2)
+        b = self.oracle.request_derivatives(self.x, 1.0, upto=2)
         np.testing.assert_array_equal(b.grad, self.prob.grad(self.x))
         np.testing.assert_array_equal(b.hess, self.prob.hess(self.x))
         assert self.oracle.counters.deriv_evals == {1: 1, 2: 1}
         assert b.achieved_acc == {1: 0.0, 2: 0.0}
 
     def test_looser_request_is_cache_hit(self):
-        self.oracle.request_derivatives(self.x, {1: 1.0}, upto=1)
-        self.oracle.request_derivatives(self.x, {1: 2.0}, upto=1)
+        self.oracle.request_derivatives(self.x, 1.0, upto=1)
+        self.oracle.request_derivatives(self.x, 2.0, upto=1)
         assert self.oracle.counters.deriv_evals == {1: 1}
 
     def test_tighter_request_is_cache_hit(self):
         # an exact tensor promises zero error, so it serves every tighter
         # request at the same point
-        self.oracle.request_derivatives(self.x, {1: 1.0}, upto=1)
-        self.oracle.request_derivatives(self.x, {1: 0.1}, upto=1)
-        b = self.oracle.request_derivatives(self.x, {1: 1e-12}, upto=1)
+        self.oracle.request_derivatives(self.x, 1.0, upto=1)
+        self.oracle.request_derivatives(self.x, 0.1, upto=1)
+        b = self.oracle.request_derivatives(self.x, 1e-12, upto=1)
         assert self.oracle.counters.deriv_evals == {1: 1}
         assert b.achieved_acc == {1: 0.0}
 
@@ -177,13 +162,13 @@ class TestNoisyOracle:
 
     def test_gradient_error_norm_is_exact(self):
         oracle = NoisyOracle(self.prob, noise_fraction=0.9, seed=5)
-        b = oracle.request_derivatives(self.x, {1: 0.2}, upto=1)
+        b = oracle.request_derivatives(self.x, 0.2, upto=1)
         err = np.linalg.norm(b.grad - self.prob.grad(self.x))
         assert err == pytest.approx(0.2 * 0.9, rel=1e-12)
 
     def test_hessian_error_spectral_norm_is_exact(self):
         oracle = NoisyOracle(self.prob, noise_fraction=0.5, seed=5)
-        b = oracle.request_derivatives(self.x, {1: 0.2, 2: 0.4}, upto=2)
+        b = oracle.request_derivatives(self.x, 0.4, upto=2)
         err = np.max(np.abs(np.linalg.eigvalsh(b.hess - self.prob.hess(self.x))))
         assert err == pytest.approx(0.4 * 0.5, rel=1e-12)
 
@@ -191,8 +176,8 @@ class TestNoisyOracle:
         a = NoisyOracle(self.prob, 0.9, seed=17)
         b = NoisyOracle(self.prob, 0.9, seed=17)
         for eps in (0.5, 0.05):
-            ba = a.request_derivatives(self.x, {1: eps, 2: eps}, upto=2)
-            bb = b.request_derivatives(self.x, {1: eps, 2: eps}, upto=2)
+            ba = a.request_derivatives(self.x, eps, upto=2)
+            bb = b.request_derivatives(self.x, eps, upto=2)
             np.testing.assert_array_equal(ba.grad, bb.grad)
             np.testing.assert_array_equal(ba.hess, bb.hess)
         assert a.request_function(self.x, 0.1) == b.request_function(self.x, 0.1)
@@ -208,13 +193,17 @@ class TestNoisyOracle:
     def test_tighter_derivative_request_recomputes(self):
         # a noisy tensor promises exactly the requested accuracy
         oracle = NoisyOracle(self.prob, 0.9, seed=3)
-        loose = oracle.request_derivatives(self.x, {1: 0.5, 2: 0.5}, upto=2)
-        oracle.request_derivatives(self.x, {1: 0.5, 2: 0.5}, upto=2)
+        loose = oracle.request_derivatives(self.x, 0.5, upto=2)
+        oracle.request_derivatives(self.x, 0.5, upto=2)
         assert oracle.counters.deriv_evals == {1: 1, 2: 1}
-        tight = oracle.request_derivatives(self.x, {1: 0.1, 2: 0.5}, upto=2)
+        # each order recomputes only when its own promise is looser
+        oracle.request_derivatives(self.x, 0.1, upto=1)
+        tight = oracle.request_derivatives(self.x, 0.5, upto=2)
         assert oracle.counters.deriv_evals == {1: 2, 2: 1}
         assert tight.achieved_acc == {1: 0.1, 2: 0.5}
         assert not np.array_equal(tight.grad, loose.grad)
+        oracle.request_derivatives(self.x, 0.1, upto=2)
+        assert oracle.counters.deriv_evals == {1: 2, 2: 2}
 
 
 class TestNoiseKey:
@@ -230,7 +219,7 @@ class TestNoiseKey:
         """A fresh order-j result at x: the value, gradient or Hessian."""
         if j == 0:
             return oracle.request_function(x, eps)
-        bundle = oracle.request_derivatives(x, {1: eps, 2: eps}, upto=j)
+        bundle = oracle.request_derivatives(x, eps, upto=j)
         return bundle.grad if j == 1 else bundle.hess
 
     def noise(self, seed, x, j, eps):
@@ -266,7 +255,7 @@ class TestNoiseKey:
         for k in range(5):  # odd and even numbers of draws in between
             y = x + 0.1 * (k + 1)
             used.request_function(y, 0.2)
-            used.request_derivatives(y, {1: 0.2, 2: 0.2}, upto=1 + k % 2)
+            used.request_derivatives(y, 0.2, upto=1 + k % 2)
         for j in (2, 1, 0):
             np.testing.assert_array_equal(self.evaluate(used, x, j, 0.05), self.evaluate(fresh, x, j, 0.05))
 
@@ -294,13 +283,13 @@ class TestBundlePerCacheState:
         self.oracle = NoisyOracle(make_rosenbrock(), 0.9, seed=4)
         self.x = np.array([0.3, -0.7])
 
-    def request(self, eps1, eps2=None, upto=1):
-        return self.oracle.request_derivatives(self.x, {1: eps1, 2: eps2}, upto)
+    def request(self, eps, upto=1):
+        return self.oracle.request_derivatives(self.x, eps, upto)
 
     def test_unchanged_state_returns_the_same_read_only_bundle(self):
-        first = self.request(0.5, 0.5, upto=2)
-        assert self.request(0.5, 0.5, upto=2) is first
-        assert self.request(0.9, 0.7, upto=2) is first  # looser: served from cache
+        first = self.request(0.5, upto=2)
+        assert self.request(0.5, upto=2) is first
+        assert self.request(0.9, upto=2) is first  # looser: served from cache
         assert self.oracle.counters.deriv_evals == {1: 1, 2: 1}
         for arr in (first.origin, first.grad, first.hess):
             assert not arr.flags.writeable
@@ -312,19 +301,19 @@ class TestBundlePerCacheState:
         np.testing.assert_array_equal(first.origin, [0.3, -0.7])
 
     def test_recompute_returns_a_new_bundle(self):
-        order1 = self.request(0.5)
-        both = self.request(0.5, 0.5, upto=2)
+        order1 = self.request(0.1)
+        both = self.request(0.5, upto=2)
         assert both is not order1
         assert both.grad is order1.grad  # one cached order-1 tensor
         # recomputing the Hessian leaves the order-1 bundle valid
-        tighter_hess = self.request(0.5, 0.1, upto=2)
+        tighter_hess = self.request(0.1, upto=2)
         assert tighter_hess is not both
-        assert self.request(0.5) is order1
+        assert self.request(0.1) is order1
         # recomputing the gradient replaces both bundles
-        tighter_grad = self.request(0.1)
+        tighter_grad = self.request(0.05)
         assert tighter_grad is not order1
-        assert tighter_grad.achieved_acc == {1: 0.1}
-        again = self.request(0.1, 0.1, upto=2)
+        assert tighter_grad.achieved_acc == {1: 0.05}
+        again = self.request(0.1, upto=2)
         assert again is not tighter_hess
         assert again.grad is tighter_grad.grad
         np.testing.assert_array_equal(again.hess, tighter_hess.hess)
@@ -334,7 +323,7 @@ class TestBundlePerCacheState:
         # a problem that hands out its own buffer keeps it writable
         buf = np.array([1.0, 2.0])
         oracle = ExactOracle(replace(make_quadratic(np.ones(2)), grad=lambda x: buf))
-        bundle = oracle.request_derivatives(np.ones(2), {1: 1.0}, upto=1)
+        bundle = oracle.request_derivatives(np.ones(2), 1.0, upto=1)
         assert buf.flags.writeable
         assert not bundle.grad.flags.writeable
 
@@ -376,8 +365,8 @@ class TestSubsampledOracle:
         b = SubsampledOracle(self.dataset, self.config, t=0.05)
         x = np.full(6, 0.1)
         for eps in (0.9, 0.2, 0.07):
-            ga = a.request_derivatives(x, {1: eps}, upto=1)
-            gb = b.request_derivatives(x, {1: eps}, upto=1)
+            ga = a.request_derivatives(x, eps, upto=1)
+            gb = b.request_derivatives(x, eps, upto=1)
             np.testing.assert_array_equal(ga.grad, gb.grad)
         assert a.counters.component_evals == b.counters.component_evals
 
@@ -387,7 +376,7 @@ class TestSubsampledOracle:
         kappa = self.dataset.kappa_bounds[1]
         for eps in (kappa, 0.5 * kappa):
             assert sample_size(kappa, eps, 0.05, 7, self.dataset.size) < self.dataset.size
-            b = oracle.request_derivatives(x, {1: eps}, upto=1)
+            b = oracle.request_derivatives(x, eps, upto=1)
             assert b.achieved_acc == {1: eps}
         assert oracle.counters.deriv_evals == {1: 2}
         oracle.request_function(x, 0.5)
@@ -398,10 +387,10 @@ class TestSubsampledOracle:
         # at m = N the oracle returns the exact full mean and promises zero
         oracle = SubsampledOracle(self.dataset, self.config, t=0.05)
         x = np.full(6, 0.1)
-        first = oracle.request_derivatives(x, {1: 1e-9, 2: 1e-9}, upto=2)
+        first = oracle.request_derivatives(x, 1e-9, upto=2)
         components = oracle.counters.component_evals
         assert components == 2 * self.dataset.size
-        again = oracle.request_derivatives(x, {1: 1e-12, 2: 1e-12}, upto=2)
+        again = oracle.request_derivatives(x, 1e-12, upto=2)
         assert oracle.counters.deriv_evals == {1: 1, 2: 1}
         assert first.achieved_acc == again.achieved_acc == {1: 0.0, 2: 0.0}
         np.testing.assert_array_equal(again.grad, first.grad)
@@ -416,7 +405,7 @@ class TestSubsampledOracle:
         oracle = SubsampledOracle(self.dataset, self.config, t=0.05)
         for k in range(2):
             oracle.begin_iteration()
-            oracle.request_derivatives(np.full(6, float(k)), {1: 1e-9}, upto=1)
+            oracle.request_derivatives(np.full(6, float(k)), 1e-9, upto=1)
             extras = oracle.end_iteration()
         assert extras["full_batch_regime"] is True
         assert extras["sample_sizes"][1] == self.dataset.size
@@ -466,7 +455,7 @@ class TestNonFiniteResults:
         oracle = self._oracles()[kind]
         for count in (1, 2):
             with pytest.raises(NonFiniteEvaluationError):
-                oracle.request_derivatives(self.X, {1: 1e-9, 2: 1e-9}, upto=2)
+                oracle.request_derivatives(self.X, 1e-9, upto=2)
             assert oracle.counters.deriv_evals == {1: count}
 
     def test_infinite_hessian_rejected(self):
@@ -474,11 +463,45 @@ class TestNonFiniteResults:
         oracle = ExactOracle(replace(prob, hess=lambda x: np.diag([np.inf, 1.0])))
         x = np.ones(2)
         with pytest.raises(NonFiniteEvaluationError):
-            oracle.request_derivatives(x, {1: 1.0, 2: 1.0}, upto=2)
+            oracle.request_derivatives(x, 1.0, upto=2)
         # the finite gradient stays cached; the Hessian is recomputed
         with pytest.raises(NonFiniteEvaluationError):
-            oracle.request_derivatives(x, {1: 1.0, 2: 1.0}, upto=2)
+            oracle.request_derivatives(x, 1.0, upto=2)
         assert oracle.counters.deriv_evals == {1: 1, 2: 2}
+
+
+class TestInvalidRequest:
+    """A requested accuracy that is not a finite positive number raises
+    ``ValueError`` before the cache is read: nothing is counted or cached,
+    and a cached result at the same point does not serve it."""
+
+    X = np.array([0.5, 0.5])
+
+    @staticmethod
+    def request(oracle, method, eps):
+        if method == "function":
+            return oracle.request_function(TestInvalidRequest.X, eps)
+        return oracle.request_derivatives(TestInvalidRequest.X, eps, upto=2)
+
+    @staticmethod
+    def counts(oracle):
+        c = oracle.counters
+        return c.fun_evals, dict(c.deriv_evals), c.component_evals
+
+    @pytest.mark.parametrize("eps", [float("nan"), 0.0, -1.0, float("inf")])
+    @pytest.mark.parametrize("method", ["function", "derivatives"])
+    @pytest.mark.parametrize("kind", ["exact", "noisy", "subsampled"])
+    def test_rejected_before_the_cache(self, kind, method, eps):
+        oracle = TestNonFiniteResults._oracles()[kind]
+        with pytest.raises(ValueError, match="not a finite positive number"):
+            self.request(oracle, method, eps)
+        assert self.counts(oracle) == (0, {}, 0)
+        assert not oracle._fun_cache and not oracle._deriv_cache
+        self.request(oracle, method, 0.1)
+        cached = self.counts(oracle)
+        with pytest.raises(ValueError, match="not a finite positive number"):
+            self.request(oracle, method, eps)
+        assert self.counts(oracle) == cached
 
 
 class TestInvalidPromise:
@@ -508,7 +531,7 @@ class TestInvalidPromise:
                 if order == 0:
                     oracle.request_function(x, 0.1)
                 else:
-                    oracle.request_derivatives(x, {1: 0.1, 2: 0.1}, upto=2)
+                    oracle.request_derivatives(x, 0.1, upto=2)
             done = oracle.counters.fun_evals if order == 0 else oracle.counters.deriv_evals[order]
             assert done == count
 
