@@ -5,8 +5,8 @@ are bounded by zeta_j, the cascade classifies it as exactly zero with
 negligible tensor errors (flag 1), relatively accurate to within omega
 (flag 2), or small with a certified absolute error (flag 3).  Flag 0 means
 none of the certificates hold and the caller should tighten the accuracies.
-The room of a certificate is the factor by which its tags could grow and
-the certificate would still hold.
+The room of a certificate is the factor by which one common tag could
+grow and the certificate would still hold.
 """
 
 from __future__ import annotations
@@ -68,20 +68,20 @@ def certify_increment(
     return CertifyFlag.NOT_CERTIFIED
 
 
-def certificate_room(delta: float, increment: float, zetas: Sequence[float], omega: float, xi: float) -> float:
-    """The factor by which every tag in ``zetas`` could grow and a
-    certificate of ``increment`` would still hold.
+def certificate_room(delta: float, increment: float, zeta: float, order: int, omega: float, xi: float) -> float:
+    """The factor by which the tag ``zeta`` of every order 1..``order``
+    could grow and a certificate of ``increment`` would still hold.
 
-    For a zero increment (flag 1) it is xi / max zeta; otherwise (flags 2
-    and 3) it is max(omega * increment, xi * chi_r) / sum zeta_j delta^j / j!.
-    The tags must be positive; a room below one means these tags alone
-    would not certify.
+    For a zero increment (flag 1) it is xi / zeta; otherwise (flags 2 and
+    3) it is max(omega * increment, xi * chi_r) / sum_j zeta delta^j / j!.
+    The tag must be positive; a room below one means it alone would not
+    certify.
     """
     if increment == 0.0:
-        return xi / max(zetas)
+        return xi / zeta
     total = chi_r = 0.0
     term = 1.0
-    for j, zeta in enumerate(zetas, start=1):
+    for j in range(1, order + 1):
         term *= delta / j
         total += zeta * term
         chi_r += term

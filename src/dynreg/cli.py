@@ -36,7 +36,7 @@ from .problems import (
 )
 from .taylor import Orders
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -116,6 +116,8 @@ class RunConfig:
             if unknown:
                 raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
             items += values.items()
+        if name == "sigmoid-file" and "path" not in self.problem:
+            raise ConfigError("the sigmoid-file problem needs a dataset path")
         for key, value in items:
             kinds = _SCALAR_TYPES.get(key)
             if kinds is None:
@@ -179,7 +181,7 @@ def build_problem(cfg: RunConfig) -> tuple[Problem, Dataset | None, np.ndarray]:
 
 
 def stochastic_config(cfg: RunConfig) -> StochasticConfig:
-    return StochasticConfig(t_bar=float(cfg.oracle.get("t_bar", 0.1)), t=cfg.oracle.get("t"), seed=cfg.seed)
+    return StochasticConfig(t_bar=float(cfg.oracle.get("t_bar", 0.1)), t=cfg.oracle.get("t"))
 
 
 def build_oracle(cfg: RunConfig, problem: Problem, dataset: Dataset | None, params: AlgoParams, orders: Orders):
@@ -190,7 +192,7 @@ def build_oracle(cfg: RunConfig, problem: Problem, dataset: Dataset | None, para
         return NoisyOracle(problem, float(cfg.oracle.get("noise_fraction", 0.9)), seed=cfg.seed)
     if dataset is None:
         raise ConfigError("subsampled oracle requires a sigmoid dataset problem")
-    return SubsampledOracle.for_eps(dataset, stochastic_config(cfg), params.eps, orders)
+    return SubsampledOracle(dataset, stochastic_config(cfg).resolve_t(params.eps, orders), cfg.seed)
 
 
 def execute(cfg: RunConfig) -> tuple[RunReport, Problem, Dataset | None, np.ndarray]:
@@ -216,8 +218,7 @@ def record_to_json(rec) -> dict:
         "rho": rec.rho,
         "step_norm": rec.step_norm,
         "success": rec.success,
-        "delta_k": rec.delta_k,
-        "eps_ladder": list(rec.eps_ladder),
+        "eps": rec.eps,
         "shrinks": rec.shrinks,
         "flags": [[stage, flag] for stage, flag in rec.flags],
         "fun_evals": rec.fun_evals,

@@ -41,6 +41,25 @@ class TerminationKind(str, Enum):
     Taylor increment at its global minimizer certifies only absolutely
     (flag 1 or 3), so no model step is known to decrease f.  It does not
     bound ||grad f|| by eps: noisy Rosenbrock runs exit there at up to 7.4 eps.
+
+    What it does bound is the exact order-p measure at the step's radius.
+    Let s be the global minimizer of the model built from tensors with
+    promised errors zeta_j, r = ||s|| (``delta_at_exit``), T the exact and
+    T~ the inexact degree-p Taylor polynomial, and DeltaT_p(s) = T~(0) -
+    T~(s).  Since s minimizes T~ plus a regularization that grows with
+    ||d||, T~(0) - T~(d) <= DeltaT_p(s) for every ||d|| <= r, and T and T~
+    differ there by at most sum_j zeta_j ||d||^j / j!, so
+
+        phi_{f,p}(r) <= DeltaT_p(s) + sum_j zeta_j r^j / j!.
+
+    Flag 1 means DeltaT_p(s) = 0 and every zeta_j <= xi; flag 3 means
+    DeltaT_p(s) < sum_j zeta_j r^j / j! / omega and that sum is at most
+    xi chi_p(r).  With the step site's xi = omega eps / 2, either gives
+
+        phi_{f,p}(r) <= (1 + omega) eps chi_p(r) / 2.
+
+    For q < p this bounds the order-q measure only up to the higher-order
+    terms of T at radius r.
     """
 
     OPTIMAL_MEASURE = "optimal_measure"
@@ -64,11 +83,12 @@ class Termination:
 class IterRecord:
     """One outer iteration of the trace.
 
-    ``rho is None`` marks the terminal partial iteration (the run stopped
-    while measuring optimality or computing the step, before any trial
-    point was evaluated).  ``shrinks`` is the number of ``NOT_CERTIFIED``
-    entries in ``flags``: every such flag shrank the ladder once.
-    ``delta_k`` is ``OPTIMALITY_RADIUS`` on a complete iteration.
+    A record is complete exactly when ``rho`` is not None; ``rho is None``
+    marks the terminal partial iteration (the run stopped while measuring
+    optimality or computing the step, before any trial point was
+    evaluated).  ``eps`` is the ladder's accuracy at the end of the
+    iteration.  ``shrinks`` is the number of ``NOT_CERTIFIED`` entries in
+    ``flags``: every such flag shrank the ladder once.
     """
 
     k: int
@@ -77,8 +97,7 @@ class IterRecord:
     rho: float | None
     step_norm: float | None
     success: bool
-    delta_k: float | None
-    eps_ladder: tuple
+    eps: float
     shrinks: int
     flags: tuple
     fun_evals: int
@@ -172,7 +191,7 @@ def _certify(stage, flags, starts, ladder, delta, increment, acc, order, omega, 
     if flag is CertifyFlag.NOT_CERTIFIED:
         ladder.shrink()
     elif starts is not None and ladder.i_eps:
-        room = certificate_room(delta, increment, [ladder.eps] * order, omega, xi)
+        room = certificate_room(delta, increment, ladder.eps, order, omega, xi)
         starts[stage] = ladder.loosest_rung(room)
     return flag
 
@@ -281,8 +300,7 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
                     rho=rho,
                     step_norm=step_norm,
                     success=success,
-                    delta_k=None if rho is None else OPTIMALITY_RADIUS,
-                    eps_ladder=(ladder.eps,) * orders.p,
+                    eps=ladder.eps,
                     shrinks=[f for _, f in flags].count(not_certified),
                     flags=tuple(flags),
                     fun_evals=now[0] - base[0],

@@ -131,7 +131,6 @@ class StochasticConfig:
 
     t_bar: float = 0.1
     t: float | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.t_bar < 1.0:
@@ -421,37 +420,26 @@ class SubsampledOracle(Oracle):
     accuracy.  Requests whose required size reaches N fall back to the
     exact full sum, which draws no random numbers and promises zero, so the
     cache serves it to every later request at the same point.  One seeded
-    generator drives all draws, making whole runs replayable.
+    generator drives all draws, making whole runs replayable.  Each
+    iteration's trace extras hold ``sample_sizes``: per order, the size of
+    its last draw in the iteration (N for a full sum).
     """
 
-    def __init__(self, dataset: Dataset, config: StochasticConfig, t: float):
+    def __init__(self, dataset: Dataset, t: float, seed: int):
         super().__init__()
         if not 0.0 < t < 1.0:
             raise ValueError("t must lie in (0, 1)")
         self.dataset = dataset
-        self.config = config
         self.t = float(t)
-        self.rng = np.random.default_rng(config.seed)
+        self.rng = np.random.default_rng(seed)
         self._iter_sizes: dict[int, int] = {}
-        self._iter_all_full = True
-        self._iter_requests = 0
-        self._full_streak = 0
-
-    @classmethod
-    def for_eps(cls, dataset: Dataset, config: StochasticConfig, eps: float, orders: Orders):
-        return cls(dataset, config, config.resolve_t(eps, orders))
 
     def _sampled(self, x, j, eps):
         ds = self.dataset
         m = sample_size(ds.kappa_bounds[j], eps, self.t, _dimension_factor(j, ds.dim), ds.size)
         self._iter_sizes[j] = m
-        self._iter_requests += 1
-        if m < self.dataset.size:
-            self._iter_all_full = False
-            promise = eps
-        else:
-            promise = 0.0
-        return subsampled_eval(self.dataset, x, j, m, self.rng, self.counters), promise
+        promise = eps if m < ds.size else 0.0
+        return subsampled_eval(ds, x, j, m, self.rng, self.counters), promise
 
     def _compute_function(self, x, eps0):
         value, promise = self._sampled(x, 0, eps0)
@@ -462,14 +450,6 @@ class SubsampledOracle(Oracle):
 
     def begin_iteration(self) -> None:
         self._iter_sizes = {}
-        self._iter_all_full = True
-        self._iter_requests = 0
 
     def end_iteration(self) -> dict:
-        # iterations served entirely from cache leave the streak untouched
-        if self._iter_requests > 0:
-            self._full_streak = self._full_streak + 1 if self._iter_all_full else 0
-        return {
-            "sample_sizes": dict(sorted(self._iter_sizes.items())),
-            "full_batch_regime": self._full_streak >= 2,
-        }
+        return {"sample_sizes": dict(sorted(self._iter_sizes.items()))}

@@ -34,31 +34,24 @@ class Problem:
     f_low: float | None = None
 
 
-def make_quadratic(a, name: str = "quadratic") -> Problem:
-    """Convex quadratic x.A.x/2; accepts a diagonal (1-d) or a symmetric
-    positive semidefinite matrix.  L = ||A|| for the gradient and exactly 0
-    for the (constant) Hessian."""
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
+def make_quadratic(diag) -> Problem:
+    """Convex quadratic x.diag(d).x/2 with a nonnegative diagonal d.
+    L = max d for the gradient and exactly 0 for the (constant) Hessian."""
+    d = np.asarray(diag, dtype=float)
+    if d.ndim != 1:
+        raise ValueError("expected a diagonal vector")
+    if d.size == 0:
         raise ValueError("the dimension must be at least 1")
-    if a.ndim == 1:
-        if np.any(a < 0.0):
-            raise ValueError("diagonal entries must be nonnegative")
-        A = np.diag(a)
-    elif a.ndim == 2 and a.shape[0] == a.shape[1]:
-        A = 0.5 * (a + a.T)
-        if np.linalg.eigvalsh(A)[0] < -1e-12:
-            raise ValueError("matrix must be positive semidefinite")
-    else:
-        raise ValueError("expected a diagonal vector or a square matrix")
-    n = A.shape[0]
+    if np.any(d < 0.0):
+        raise ValueError("diagonal entries must be nonnegative")
+    A = np.diag(d)
     return Problem(
-        name=name,
-        n=n,
+        name="quadratic",
+        n=d.size,
         value=lambda x: 0.5 * float(x @ (A @ x)),
         grad=lambda x: A @ x,
         hess=lambda x: A.copy(),
-        lipschitz={1: float(np.max(np.abs(np.linalg.eigvalsh(A)))), 2: 0.0},
+        lipschitz={1: float(d.max()), 2: 0.0},
         f_low=0.0,
     )
 
@@ -274,6 +267,8 @@ def load_dataset(path) -> Dataset:
                 values = [float(p) for p in parts]
             except ValueError as exc:
                 raise DatasetError(f"line {lineno}: {exc}") from exc
+            if not all(map(math.isfinite, values[1:])):
+                raise DatasetError(f"line {lineno}: features must be finite numbers")
             if values[0] not in (0.0, 1.0):
                 raise DatasetError(f"line {lineno}: label must be 0 or 1, got {parts[0]}")
             if width is None:

@@ -21,7 +21,6 @@ from dynreg import (
     NoisyOracle,
     Orders,
     Schedule,
-    StochasticConfig,
     SubsampledOracle,
     TerminationKind,
     certify_increment,
@@ -454,7 +453,7 @@ def test_c8_stochastic_end_to_end(big_dataset):
     t = failure_probability(eps, orders, t_bar=0.1)
     hits = 0
     for seed in range(20):
-        oracle = SubsampledOracle(ds, StochasticConfig(t_bar=0.1, seed=seed), t=t)
+        oracle = SubsampledOracle(ds, t=t, seed=seed)
         rep = run(oracle, np.zeros(ds.dim), AlgoParams(eps=eps), orders)
         if rep.status.kind is TerminationKind.BUDGET:
             continue

@@ -11,6 +11,14 @@ eps * chi_q(1).  The adversary comes within a fraction of a percent of that
 bound, so a rule that let a certificate rest on too loose a bound would
 show here.
 
+A run that stops with ``strong_model_optimality`` certifies the order-p
+measure at the step's radius r = ||s|| instead (see ``TerminationKind``):
+the exact phi_{f,p}(r) must stay at most (1 + omega) eps chi_p(r) / 2.
+The p = 2, q = 1 Rosenbrock runs from (-1.2, 1) reach that exit under the
+noisy oracle and both adversaries; their worst exact ratio is about a third
+of the bound, and a cascade that let flag 3 rest on 100 times its
+threshold breaks it by a factor of about 30.
+
 ``ValueAdversary`` adds the same attack on function values: exact minus
 the promise at every point but the current derivative origin, where the
 value is exact plus the promise, so every fresh trial value flatters the
@@ -24,6 +32,7 @@ import pytest
 from dynreg import (
     AlgoParams,
     DerivativeBundle,
+    NoisyOracle,
     Oracle,
     Orders,
     Schedule,
@@ -35,6 +44,7 @@ from dynreg import (
     make_rosenbrock,
     optimality_measure,
     run,
+    trust_region_min,
 )
 from dynreg.subsolvers import OPTIMALITY_RADIUS
 
@@ -93,6 +103,18 @@ def _check_measure_exit(problem, report, q, eps) -> bool:
     return True
 
 
+def _check_model_exit(problem, report, eps) -> bool:
+    """Assert the exact order-p bound at a strong model optimality exit;
+    whether the run had one.  Only p = 2 reaches that exit."""
+    if report.status.kind is not TerminationKind.STRONG_MODEL_OPTIMALITY:
+        return False
+    x, r = report.x_final, report.status.delta_at_exit
+    phi = max(0.0, -trust_region_min(problem.grad(x), problem.hess(x), r).value)
+    ratio = phi / (0.5 * (1.0 + report.trace[-1].omega) * eps * chi(2, r))
+    assert ratio <= 1.0, f"eps={eps:g}: exact order-2 measure {ratio:.6f} of its bound at radius {r:g}"
+    return True
+
+
 # steepest descent (p = 1) crawls Rosenbrock's valley for thousands of
 # iterations from the usual start, so the first-order runs start on the
 # valley floor to keep the battery short
@@ -111,6 +133,7 @@ def test_measure_exits_hold_against_aligned_errors(name, problem, starts, orders
         report = run(AlignedOracle(problem), starts[orders.p], AlgoParams(eps=eps, schedule=schedule), orders)
         assert report.status.kind is not TerminationKind.BUDGET
         checked += _check_measure_exit(problem, report, orders.q, eps)
+        _check_model_exit(problem, report, eps)
     assert checked > 0
 
 
@@ -130,4 +153,24 @@ def test_runs_hold_against_adversarial_values(name, problem, starts, orders, sch
             budget = complexity_budget(L, float(problem.value(x0)), problem.f_low, params, orders)
         assert checks.all_violations(report, budget) == [], f"eps={eps:g}"
         checked += _check_measure_exit(problem, report, orders.q, eps)
+        _check_model_exit(problem, report, eps)
+    assert checked > 0
+
+
+@pytest.mark.parametrize(
+    "oracles",
+    [
+        [lambda problem, seed=seed: NoisyOracle(problem, seed=seed) for seed in range(6)],
+        [AlignedOracle],
+        [ValueAdversary],
+    ],
+    ids=["noisy", "aligned", "value-adversary"],
+)
+def test_strong_model_exits_bound_the_order_p_measure(oracles):
+    problem = make_rosenbrock()
+    checked = 0
+    for make_oracle in oracles:
+        for eps in (1e-2, 1e-3):
+            report = run(make_oracle(problem), np.array([-1.2, 1.0]), AlgoParams(eps=eps), Orders(2, 1))
+            checked += _check_model_exit(problem, report, eps)
     assert checked > 0

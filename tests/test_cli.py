@@ -58,7 +58,7 @@ VALID_CONFIGS = st.fixed_dictionaries(
                 {"name": st.just("sigmoid-synthetic")},
                 {"N": st.integers(1, 10**6), "n": st.integers(1, 100), "data_seed": st.integers(0, 2**32), "x0": VECTOR},
             ),
-            _section({"name": st.just("sigmoid-file")}, {"path": st.text(min_size=1, max_size=20), "x0": VECTOR}),
+            _section({"name": st.just("sigmoid-file"), "path": st.text(min_size=1, max_size=20)}, {"x0": VECTOR}),
         ),
         "orders": st.sampled_from([(1, 1), (2, 1), (2, 2)]).flatmap(
             lambda pq: _section({"p": st.just(pq[0]), "q": st.just(pq[1])}, {"beta": st.just(1.0)})
@@ -134,7 +134,7 @@ class TestSolve:
         lines = (out / "trace.jsonl").read_text().splitlines()
         assert len(lines) == 2
         first = json.loads(lines[0])
-        assert first["schema_version"] == 1
+        assert first["schema_version"] == 2
         assert first["rho"] == 0.5
 
     def test_trace_schema_fields(self, tmp_path):
@@ -150,8 +150,7 @@ class TestSolve:
             "rho",
             "step_norm",
             "success",
-            "delta_k",
-            "eps_ladder",
+            "eps",
             "shrinks",
             "flags",
             "fun_evals",
@@ -341,6 +340,16 @@ class TestDatasetFile:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] != "budget"
         assert summary["totals"]["component_evals"] > 0
+
+    @pytest.mark.parametrize("command", ["solve", "sample-check"])
+    def test_missing_dataset_path_exit_2(self, tmp_path, capsys, command):
+        # from a config file, and from --problem, which replaces the whole
+        # problem section
+        cfg = write_config(tmp_path, {"problem": {"name": "sigmoid-file"}, "oracle": {"kind": "subsampled"}})
+        for route in (["--config", str(cfg)], ["--problem", "sigmoid-file"]):
+            assert main([command, *route, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+            assert "dataset path" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_dataset_file(self, tmp_path):
         payload = {"problem": {"name": "sigmoid-file", "path": str(tmp_path / "nope.csv")}}

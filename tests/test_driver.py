@@ -9,7 +9,6 @@ from dynreg import (
     Orders,
     Problem,
     Schedule,
-    StochasticConfig,
     SubsampledOracle,
     TerminationKind,
     make_quadratic,
@@ -119,7 +118,7 @@ class TestExactHandTrace:
 
     def test_no_shrinks(self):
         assert [r.shrinks for r in self.report.trace] == [0, 0]
-        assert all(r.eps_ladder == (1.0,) for r in self.report.trace)
+        assert all(r.eps == 1.0 for r in self.report.trace)
 
     def test_step_flags_relative_ok_then_zero_increment(self):
         # one step of length 1 to the origin, measure and step both flag 2
@@ -381,7 +380,7 @@ class TestPromiseKeyedCache:
     def test_subsampled_sigmoid(self):
         ds = make_synthetic_dataset(400, 4, seed=8)
         new, old = self._compare(
-            lambda cls: cls(ds, StochasticConfig(t_bar=0.1, seed=3), t=1e-3),
+            lambda cls: cls(ds, t=1e-3, seed=3),
             SubsampledOracle,
             np.zeros(4),
             AlgoParams(eps=1e-2),
@@ -394,7 +393,7 @@ class TestPromiseKeyedCertification:
     """Certifying against the promise instead of the request: on exact and
     full-batch data the iterates and counts stay, and the shrinks go."""
 
-    STEP_FIELDS = ("k", "sigma", "omega", "rho", "step_norm", "success", "delta_k")
+    STEP_FIELDS = ("k", "sigma", "omega", "rho", "step_norm", "success")
     COUNT_FIELDS = ("fun_evals", "deriv_evals", "component_evals")
 
     def _compare(self, make_oracle, base, x0, params, orders):
@@ -424,7 +423,7 @@ class TestPromiseKeyedCertification:
 
     def test_subsampled_sigmoid(self):
         self._compare(
-            lambda cls: cls(make_synthetic_dataset(400, 4, seed=8), StochasticConfig(t_bar=0.1, seed=3), t=1e-3),
+            lambda cls: cls(make_synthetic_dataset(400, 4, seed=8), t=1e-3, seed=3),
             SubsampledOracle,
             np.zeros(4),
             AlgoParams(eps=1e-2),
@@ -480,8 +479,7 @@ class TestSchedules:
             Orders(p=2, q=1),
         )
         assert report.total_shrinks > 0
-        ends = [rec.eps_ladder[0] for rec in report.trace]
-        assert all(rec.eps_ladder == (e, e) for rec, e in zip(report.trace, ends))  # one threshold, p copies
+        ends = [rec.eps for rec in report.trace]
         assert all(b <= a for a, b in zip(ends, ends[1:]))
 
     def test_monotonic_subsampled_solve(self):
@@ -489,7 +487,7 @@ class TestSchedules:
         from dynreg import make_sigmoid_problem
 
         prob = make_sigmoid_problem(ds)
-        oracle = SubsampledOracle(ds, StochasticConfig(t_bar=0.1, seed=5), t=1e-3)
+        oracle = SubsampledOracle(ds, t=1e-3, seed=5)
         report = run(
             oracle,
             np.zeros(6),
@@ -512,7 +510,7 @@ class TestSchedules:
         # some later iteration must observe a looser ladder than its
         # predecessor finished with
         widened = any(
-            report.trace[i].eps_ladder[0] > report.trace[i - 1].eps_ladder[0]
+            report.trace[i].eps > report.trace[i - 1].eps
             for i in range(1, len(report.trace))
         )
         assert widened
@@ -620,7 +618,7 @@ class TestFlexibleStart:
             start = cur[0][1]
             assert start == expected
             # never tighter than where the previous iteration ended
-            assert request(start, 1)[0] >= prev_rec.eps_ladder[0]
+            assert request(start, 1)[0] >= prev_rec.eps
 
         omega_min = min(params.kappa_omega, 1.0 / report.sigma_max_observed)
         assert shrink_violations(report, omega_min) == []
@@ -632,7 +630,7 @@ class TestFlexibleStart:
             AlgoParams(eps=1e-2),
             Orders(p=2, q=1),
         )
-        ends = [rec.eps_ladder[0] for rec in report.trace]
+        ends = [rec.eps for rec in report.trace]
         assert any(ends[i] > ends[i - 1] for i in range(1, len(ends) - 1))
 
 
@@ -676,10 +674,9 @@ class TestInvariants:
                 assert report.status.phi <= bound
 
     def test_replay_bit_identical(self):
-        cfg = StochasticConfig(t_bar=0.1, t=0.02, seed=13)
         runs = []
         for _ in range(2):
-            oracle = SubsampledOracle(make_synthetic_dataset(300, 5, seed=7), cfg, t=0.02)
+            oracle = SubsampledOracle(make_synthetic_dataset(300, 5, seed=7), t=0.02, seed=13)
             runs.append(run(oracle, np.zeros(5), AlgoParams(eps=5e-2), Orders(p=2, q=1)))
         a, b = runs
         assert len(a.trace) == len(b.trace)

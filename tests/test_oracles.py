@@ -332,7 +332,6 @@ class TestSubsampledOracle:
     def setup_method(self):
         self.dataset = make_synthetic_dataset(500, 6, seed=11)
         self.orders = Orders(p=2, q=1)
-        self.config = StochasticConfig(t_bar=0.1, t=0.05, seed=9)
 
     def test_full_batch_matches_exact_sum(self):
         rng = np.random.default_rng(0)
@@ -355,14 +354,14 @@ class TestSubsampledOracle:
             assert subsampled_eval(ds, x, 0, m, rng) == pytest.approx(exact, rel=1e-15)
 
     def test_component_evals_counted(self):
-        oracle = SubsampledOracle(self.dataset, self.config, t=0.05)
+        oracle = SubsampledOracle(self.dataset, t=0.05, seed=9)
         oracle.request_function(np.zeros(6), 0.5)
         assert oracle.counters.component_evals > 0
         assert oracle.counters.fun_evals == 1
 
     def test_replay_determinism(self):
-        a = SubsampledOracle(self.dataset, self.config, t=0.05)
-        b = SubsampledOracle(self.dataset, self.config, t=0.05)
+        a = SubsampledOracle(self.dataset, t=0.05, seed=9)
+        b = SubsampledOracle(self.dataset, t=0.05, seed=9)
         x = np.full(6, 0.1)
         for eps in (0.9, 0.2, 0.07):
             ga = a.request_derivatives(x, eps, upto=1)
@@ -371,7 +370,7 @@ class TestSubsampledOracle:
         assert a.counters.component_evals == b.counters.component_evals
 
     def test_tighter_request_below_population_recomputes(self):
-        oracle = SubsampledOracle(self.dataset, self.config, t=0.05)
+        oracle = SubsampledOracle(self.dataset, t=0.05, seed=9)
         x = np.full(6, 0.1)
         kappa = self.dataset.kappa_bounds[1]
         for eps in (kappa, 0.5 * kappa):
@@ -385,7 +384,7 @@ class TestSubsampledOracle:
 
     def test_full_population_serves_every_tighter_request(self):
         # at m = N the oracle returns the exact full mean and promises zero
-        oracle = SubsampledOracle(self.dataset, self.config, t=0.05)
+        oracle = SubsampledOracle(self.dataset, t=0.05, seed=9)
         x = np.full(6, 0.1)
         first = oracle.request_derivatives(x, 1e-9, upto=2)
         components = oracle.counters.component_evals
@@ -400,15 +399,14 @@ class TestSubsampledOracle:
         assert oracle.counters.fun_evals == 1
         assert oracle.counters.component_evals == components + self.dataset.size
 
-    def test_full_batch_regime_flag(self):
+    def test_iteration_extras_report_sample_sizes(self):
         # huge accuracy demands clamp every request to the full population
-        oracle = SubsampledOracle(self.dataset, self.config, t=0.05)
+        oracle = SubsampledOracle(self.dataset, t=0.05, seed=9)
         for k in range(2):
             oracle.begin_iteration()
             oracle.request_derivatives(np.full(6, float(k)), 1e-9, upto=1)
             extras = oracle.end_iteration()
-        assert extras["full_batch_regime"] is True
-        assert extras["sample_sizes"][1] == self.dataset.size
+        assert extras == {"sample_sizes": {1: self.dataset.size}}
 
     def test_empirical_accuracy_on_a_small_grid(self):
         # Monte-Carlo check of the Bernstein rule at one accuracy level
@@ -439,7 +437,7 @@ class TestNonFiniteResults:
         return {
             "exact": ExactOracle(rosen),
             "noisy": NoisyOracle(rosen, 0.9, seed=2),
-            "subsampled": SubsampledOracle(ds, StochasticConfig(seed=1), t=0.05),
+            "subsampled": SubsampledOracle(ds, t=0.05, seed=1),
         }
 
     @pytest.mark.parametrize("kind", ["exact", "noisy", "subsampled"])

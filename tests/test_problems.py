@@ -111,7 +111,7 @@ class TestBuiltinProblems:
 
     @pytest.mark.parametrize("a", [np.zeros(0), np.zeros((0, 0))])
     def test_quadratic_rejects_empty_matrix(self, a):
-        with pytest.raises(ValueError, match="must be at least 1"):
+        with pytest.raises(ValueError, match="must be at least 1" if a.ndim == 1 else "expected a diagonal vector"):
             make_quadratic(a)
 
     def test_full_batch_equals_sequential_component_mean(self):
@@ -187,6 +187,14 @@ class TestDataset:
         path = tmp_path / "label.csv"
         path.write_text("2,0.5\n")
         with pytest.raises(DatasetError, match="line 1"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_feature_rejected(self, tmp_path, field):
+        # float() parses these, and 1e999 overflows to inf
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"1,0.5,0.5\n0,0.5,{field}\n")
+        with pytest.raises(DatasetError, match="line 2"):
             load_dataset(path)
 
     def test_garbage_field_rejected(self, tmp_path):
