@@ -33,7 +33,6 @@ from .problems import (
     make_rosenbrock,
     make_sigmoid_problem,
     make_synthetic_dataset,
-    psi_bounds,
     save_dataset,
     sigmoid_ls_derivs,
 )
@@ -54,7 +53,6 @@ from .taylor import (
     holder_factorial,
     model_accuracy,
     model_taylor_derivs,
-    model_value,
     taylor_increment,
 )
 

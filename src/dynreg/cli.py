@@ -453,8 +453,8 @@ def _load_config(args) -> RunConfig:
         with open(args.config, "r", encoding="ascii") as fh:
             raw = json.load(fh)
     cfg = RunConfig.from_dict(raw)
-    if args.problem is not None:
-        cfg.problem = {"name": args.problem}
+    if args.problem is not None and args.problem != cfg.problem["name"]:
+        cfg.problem = {"name": args.problem}  # another problem: the config's section does not apply
     if args.eps is not None:
         cfg.algo["eps"] = args.eps
     if args.seed is not None:

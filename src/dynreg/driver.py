@@ -221,7 +221,6 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
 
     try:
         for k in range(params.max_iter):
-            oracle.begin_iteration()
             if starts is not None:
                 ladder.reset(max(starts.values(), default=0))
                 starts.clear()

@@ -4,7 +4,8 @@ An oracle serves function values and derivative tensors of orders 1..upto
 at one requested absolute accuracy, a finite positive number; any other
 request raises ``ValueError`` before the cache is read.  Every result carries
 the accuracy its oracle promises for it, and caching defines what counts as
-an evaluation: a value or tensor is recomputed (and counted) only when the
+an evaluation: the value (order 0) and each derivative order are kept in
+one store of recent points and recomputed (and counted) only when the
 request is strictly tighter than the promise of the result cached at the
 same point.  An exact result promises zero and so serves every later
 request.  Results that are not finite, and promises that are negative or
@@ -233,59 +234,38 @@ def subsampled_eval(dataset: Dataset, x: np.ndarray, j: int, m: int, rng, counte
 class Oracle:
     """Base class: caching, evaluation counting and the request protocol.
 
-    Subclasses implement ``_compute_function`` and ``_compute_derivative``,
-    each returning ``(value_or_tensor, promised_accuracy)``.
+    Subclasses implement ``_compute(x, j, eps)``, returning the order-j
+    result at x (the value for j = 0, the gradient or Hessian for j = 1, 2)
+    and the accuracy it promises.
 
-    Values and derivative tensors follow one cache rule: a cached result is
-    reused whenever its promise is at least as tight as the request, and
-    is recomputed, and counted, only when the request is strictly tighter.
-    A request that is not a finite positive number raises ``ValueError``.
-    A fresh result that is not finite raises ``NonFiniteEvaluationError``,
-    one whose promise is negative or not finite ``InvalidPromiseError``, and
-    neither is cached.  Only the few most recent points are retained.
-    Each point keeps one derivative bundle per ``upto``, with read-only
-    arrays and the Hessian symmetrized once, and builds a new one only
-    after one of its orders is recomputed.
+    Values and derivative tensors share one store and one cache rule: a
+    cached result is reused whenever its promise is at least as tight as
+    the request, and is recomputed, and counted, only when the request is
+    strictly tighter.  A request that is not a finite positive number
+    raises ``ValueError``.  A fresh result that is not finite raises
+    ``NonFiniteEvaluationError``, one whose promise is negative or not
+    finite ``InvalidPromiseError``, and neither is cached.  Only the
+    ``_CACHE_POINTS`` most recently requested points are retained, whichever
+    orders were requested there.  Each point also keeps one derivative
+    bundle per ``upto``, with read-only arrays and the Hessian symmetrized
+    once, and builds a new one only after one of its orders is recomputed.
     """
 
     def __init__(self):
         self.counters = EvalCounters()
-        self._fun_cache: OrderedDict[bytes, tuple[float, float]] = OrderedDict()
-        # per point: the (tensor, promise) of each order and the bundle of each upto
-        self._deriv_cache: OrderedDict[bytes, tuple[dict[int, tuple], dict[int, DerivativeBundle]]] = OrderedDict()
+        # per point: the (result, promise) of each order and the bundle of each upto
+        self._cache: OrderedDict[bytes, tuple[dict[int, tuple], dict[int, DerivativeBundle]]] = OrderedDict()
 
-    # -- subclass hooks ----------------------------------------------------
-    def _compute_function(self, x: np.ndarray, eps0: float) -> tuple[float, float]:
+    def _compute(self, x: np.ndarray, j: int, eps: float) -> tuple:
         raise NotImplementedError
-
-    def _compute_derivative(self, x: np.ndarray, j: int, eps_j: float):
-        raise NotImplementedError
-
-    # -- iteration hooks (trace extras) -------------------------------------
-    def begin_iteration(self) -> None:
-        pass
 
     def end_iteration(self) -> dict:
+        """Trace extras of the iteration that ends."""
         return {}
 
-    # -- request protocol ---------------------------------------------------
     def request_function(self, x: np.ndarray, eps0: float) -> float:
-        _check_request(eps0)
-        x = np.ascontiguousarray(x, dtype=float)
-        key = x.tobytes()
-        hit = self._fun_cache.get(key)
-        if hit is not None and hit[1] <= eps0:
-            self._fun_cache.move_to_end(key)
-            return hit[0]
-        value, promise = self._compute_function(x, eps0)
-        self.counters.fun_evals += 1
-        if not math.isfinite(value):
-            raise NonFiniteEvaluationError(f"function value {value} is not finite")
-        self._fun_cache[key] = (value, _checked_promise(promise, 0))
-        self._fun_cache.move_to_end(key)
-        while len(self._fun_cache) > _CACHE_POINTS:
-            self._fun_cache.popitem(last=False)
-        return value
+        entries, _ = self._serve(x, eps0, (0,))
+        return entries[0][0]
 
     def request_derivatives(self, x: np.ndarray, eps: float, upto: int) -> DerivativeBundle:
         """The bundle of orders 1..upto at x, each requested at accuracy eps.
@@ -295,36 +275,13 @@ class Oracle:
         request served from the same cache state gets the same bundle, so
         its arrays are read-only and callers must not modify it.
         """
-        _check_request(eps)
         if upto not in (1, 2):
             raise ValueError("upto must be 1 or 2")
-        x = np.ascontiguousarray(x, dtype=float)
-        key = x.tobytes()
-        point = self._deriv_cache.get(key)
-        if point is None:
-            point = self._deriv_cache[key] = ({}, {})
-        else:
-            self._deriv_cache.move_to_end(key)
-        while len(self._deriv_cache) > _CACHE_POINTS:
-            self._deriv_cache.popitem(last=False)
-
-        entries, bundles = point
-        for j in range(1, upto + 1):
-            entry = entries.get(j)
-            if entry is None or entry[1] > eps:
-                tensor, promise = self._compute_derivative(x, j, eps)
-                self.counters.bump_deriv(j)
-                if not np.isfinite(tensor).all():
-                    raise NonFiniteEvaluationError(f"order-{j} derivative has a non-finite entry")
-                entries[j] = (_read_only(np.asarray(tensor, dtype=float).view()), _checked_promise(promise, j))
-                # the bundles that carry order j now hold a stale tensor
-                for stale in range(j, 3):
-                    bundles.pop(stale, None)
+        entries, bundles = self._serve(x, eps, (1,) if upto == 1 else (1, 2))
         bundle = bundles.get(upto)
         if bundle is None:
             bundle = bundles[upto] = DerivativeBundle(
-                origin=_read_only(x.copy()),
-                value=None,
+                origin=_read_only(np.array(x, dtype=float)),
                 grad=entries[1][0],
                 hess=entries[2][0] if upto == 2 else None,
                 achieved_acc={j: entries[j][1] for j in range(1, upto + 1)},
@@ -333,10 +290,41 @@ class Oracle:
                 _read_only(bundle.hess)  # the symmetrized copy
         return bundle
 
-
-def _check_request(eps: float) -> None:
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"requested accuracy {eps} is not a finite positive number")
+    def _serve(self, x: np.ndarray, eps: float, orders: tuple[int, ...]) -> tuple[dict, dict]:
+        """The (entries, bundles) of point x, now the most recent point, with
+        each of ``orders`` served under the one cache rule."""
+        if not 0.0 < eps < math.inf:
+            raise ValueError(f"requested accuracy {eps} is not a finite positive number")
+        x = np.ascontiguousarray(x, dtype=float)
+        key = x.tobytes()
+        point = self._cache.get(key)
+        if point is None:
+            point = self._cache[key] = ({}, {})
+            if len(self._cache) > _CACHE_POINTS:
+                self._cache.popitem(last=False)
+        else:
+            self._cache.move_to_end(key)
+        entries, bundles = point
+        for j in orders:
+            entry = entries.get(j)
+            if entry is not None and entry[1] <= eps:
+                continue
+            result, promise = self._compute(x, j, eps)
+            if j == 0:
+                self.counters.fun_evals += 1
+                result = float(result)
+                if not math.isfinite(result):
+                    raise NonFiniteEvaluationError(f"function value {result} is not finite")
+            else:
+                self.counters.bump_deriv(j)
+                if not np.isfinite(result).all():
+                    raise NonFiniteEvaluationError(f"order-{j} derivative has a non-finite entry")
+                result = _read_only(np.asarray(result, dtype=float).view())
+                # the bundles that carry order j now hold a stale tensor
+                for stale in range(j, 3):
+                    bundles.pop(stale, None)
+            entries[j] = (result, _checked_promise(promise, j))
+        return point
 
 
 def _checked_promise(promise: float, j: int) -> float:
@@ -357,13 +345,8 @@ class ExactOracle(Oracle):
         super().__init__()
         self.problem = problem
 
-    def _compute_function(self, x, eps0):
-        return float(self.problem.value(x)), 0.0
-
-    def _compute_derivative(self, x, j, eps_j):
-        if j == 1:
-            return np.asarray(self.problem.grad(x), dtype=float), 0.0
-        return np.asarray(self.problem.hess(x), dtype=float), 0.0
+    def _compute(self, x, j, eps):
+        return (self.problem.value, self.problem.grad, self.problem.hess)[j](x), 0.0
 
 
 class NoisyOracle(Oracle):
@@ -394,22 +377,21 @@ class NoisyOracle(Oracle):
         """blake2b-256 of the seed key, eps and j at fixed width, then x."""
         return hashlib.blake2b(self._key + struct.pack("<dq", eps, j) + x.tobytes(), digest_size=32).digest()
 
-    def _compute_function(self, x, eps0):
-        sign = 1.0 if self._digest(x, 0, eps0)[0] & 1 else -1.0
-        return float(self.problem.value(x)) + self.noise_fraction * eps0 * sign, eps0
-
-    def _compute_derivative(self, x, j, eps_j):
-        d = self._digest(x, j, eps_j)
+    def _compute(self, x, j, eps):
+        d = self._digest(x, j, eps)
+        if j == 0:
+            sign = 1.0 if d[0] & 1 else -1.0
+            return float(self.problem.value(x)) + self.noise_fraction * eps * sign, eps
         state = {"state": int.from_bytes(d[:16], "little"), "inc": int.from_bytes(d[16:], "little") | 1}
         self._bits.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
         if j == 1:
             u = self._gen.standard_normal(x.size)
             u /= math.sqrt(float(u.dot(u)))
-            return np.asarray(self.problem.grad(x), dtype=float) + self.noise_fraction * eps_j * u, eps_j
+            return np.asarray(self.problem.grad(x), dtype=float) + self.noise_fraction * eps * u, eps
         m = self._gen.standard_normal((x.size, x.size))
         s = 0.5 * (m + m.T)
         s /= float(np.abs(np.linalg.eigvalsh(s)).max())
-        return np.asarray(self.problem.hess(x), dtype=float) + self.noise_fraction * eps_j * s, eps_j
+        return np.asarray(self.problem.hess(x), dtype=float) + self.noise_fraction * eps * s, eps
 
 
 class SubsampledOracle(Oracle):
@@ -434,22 +416,13 @@ class SubsampledOracle(Oracle):
         self.rng = np.random.default_rng(seed)
         self._iter_sizes: dict[int, int] = {}
 
-    def _sampled(self, x, j, eps):
+    def _compute(self, x, j, eps):
         ds = self.dataset
         m = sample_size(ds.kappa_bounds[j], eps, self.t, _dimension_factor(j, ds.dim), ds.size)
         self._iter_sizes[j] = m
         promise = eps if m < ds.size else 0.0
         return subsampled_eval(ds, x, j, m, self.rng, self.counters), promise
 
-    def _compute_function(self, x, eps0):
-        value, promise = self._sampled(x, 0, eps0)
-        return float(value), promise
-
-    def _compute_derivative(self, x, j, eps_j):
-        return self._sampled(x, j, eps_j)
-
-    def begin_iteration(self) -> None:
-        self._iter_sizes = {}
-
     def end_iteration(self) -> dict:
-        return {"sample_sizes": dict(sorted(self._iter_sizes.items()))}
+        sizes, self._iter_sizes = self._iter_sizes, {}
+        return {"sample_sizes": dict(sorted(sizes.items()))}

@@ -148,12 +148,8 @@ class Dataset:
         return self.features.shape[1]
 
 
-def psi_bounds(dataset: Dataset) -> tuple[float, float, float]:
-    """Uniform component bounds (1, 2 max ||a_i||/5, max ||a_i||^2/5)."""
-    return _feature_bounds(dataset.features)
-
-
 def _feature_bounds(features: np.ndarray) -> tuple[float, float, float]:
+    # Uniform component bounds (1, 2 max ||a_i||/5, max ||a_i||^2/5):
     # |psi| <= 1; the gradient coefficient 2(b-v)(1-v)v peaks at 8/27 < 2/5
     # and the Hessian coefficient 2v(1-v)|3v^2-2v(1+b)+b| stays below 1/5.
     # Row norms are summed over C-order rows, so the bounds, and with them

@@ -1,8 +1,8 @@
 """Taylor machinery for regularized models of degree at most two.
 
 Scalar combinatorics (the Hölder factorial and the ball-scaling polynomial
-chi), Taylor increments of inexact derivative bundles, regularized model
-values, and the derivatives of the regularized model at a trial step.
+chi), Taylor increments of inexact derivative bundles, and the derivatives
+of the regularized model at a trial step.
 """
 
 from __future__ import annotations
@@ -80,16 +80,15 @@ class Orders:
 
 @dataclass
 class DerivativeBundle:
-    """Inexact value/gradient/Hessian at a point, with accuracy tags.
+    """Inexact gradient and Hessian at a point, with accuracy tags.
 
     ``achieved_acc[j]`` is the absolute accuracy the producing oracle
-    promised for order j (0 = value, 1 = gradient, 2 = Hessian).  The
+    promised for order j (1 = gradient, 2 = Hessian).  The
     Hessian is stored symmetrized.  An oracle hands the same bundle, with
     read-only arrays, to every request its cache serves unchanged.
     """
 
     origin: np.ndarray
-    value: float | None = None
     grad: np.ndarray | None = None
     hess: np.ndarray | None = None
     achieved_acc: dict[int, float] = field(default_factory=dict)
@@ -114,7 +113,7 @@ def taylor_increment(bundle: DerivativeBundle, s: np.ndarray, order: int) -> flo
     """Model-predicted decrease T(0) - T(s) of the degree-``order`` expansion.
 
     Equals -(g.s) for order 1 and -(g.s + s.H.s/2) for order 2; the value
-    term cancels, so ``bundle.value`` may be absent.
+    term cancels, so the bundle carries no value.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -129,18 +128,6 @@ def taylor_increment(bundle: DerivativeBundle, s: np.ndarray, order: int) -> flo
             raise ValueError("bundle has no Hessian")
         inc -= 0.5 * float(s.dot(bundle.hess @ s))
     return inc
-
-
-def model_value(bundle: DerivativeBundle, s: np.ndarray, sigma: float, orders: Orders) -> float:
-    """Regularized model value f + g.s + s.H.s/2 + sigma/(p+beta)! * ||s||^(p+beta)."""
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    if bundle.value is None:
-        raise ValueError("bundle has no function value")
-    s = np.asarray(s, dtype=float)
-    ns = math.sqrt(float(s @ s))
-    reg = sigma / holder_factorial(orders.p, orders.beta) * ns ** (orders.p + orders.beta)
-    return bundle.value - taylor_increment(bundle, s, orders.p) + reg
 
 
 def model_accuracy(achieved_acc: dict[int, float], step_norm: float) -> dict[int, float]:
@@ -178,4 +165,4 @@ def model_taylor_derivs(bundle: DerivativeBundle, s: np.ndarray, sigma: float) -
         g = g + (0.5 * sigma * ns) * s
         h = h + (0.5 * sigma) * (ns * np.eye(s.size) + np.outer(s, s) / ns)
     acc = model_accuracy(bundle.achieved_acc, ns)
-    return DerivativeBundle(origin=s.copy(), value=None, grad=g, hess=h, achieved_acc=acc)
+    return DerivativeBundle(origin=s.copy(), grad=g, hess=h, achieved_acc=acc)

@@ -34,10 +34,10 @@ from dynreg import (
     make_sigmoid_problem,
     make_synthetic_dataset,
     model_taylor_derivs,
-    model_value,
     run,
     sampling_failures,
     sigmoid_ls_derivs,
+    taylor_increment,
     trust_region_min,
 )
 from dynreg.checks import budget_violations, counting_violations, shrink_violations
@@ -276,18 +276,22 @@ def test_c3_derivative_correctness():
             float(np.max(np.abs(h - _fd_jacobian(lambda z: sigmoid_ls_derivs(a, b, z)[1], x)))),
         )
 
-    orders = Orders(p=2, q=1)
     for _ in range(100):
         n = int(rng.integers(2, 5))
         g = rng.standard_normal(n)
         h = rng.standard_normal((n, n))
         h = 0.5 * (h + h.T)
-        bun = DerivativeBundle(origin=np.zeros(n), value=float(rng.standard_normal()), grad=g, hess=h)
+        bun = DerivativeBundle(origin=np.zeros(n), grad=g, hess=h)
+        f0 = float(rng.standard_normal())
         s = rng.standard_normal(n)
         s *= rng.uniform(0.3, 1.5) / np.linalg.norm(s)
         sigma = float(rng.uniform(0.2, 5.0))
         out = model_taylor_derivs(bun, s, sigma)
-        grad_fd = _fd_gradient(lambda z: model_value(bun, z, sigma, orders), s)
+
+        def model(z):  # the regularized model f0 + g.z + z.H.z/2 + sigma/6 ||z||^3
+            return f0 - taylor_increment(bun, z, 2) + sigma / 6.0 * math.sqrt(float(z @ z)) ** 3
+
+        grad_fd = _fd_gradient(model, s)
         jac_fd = _fd_jacobian(lambda z: model_taylor_derivs(bun, z, sigma).grad, s)
         worst = max(worst, float(np.max(np.abs(out.grad - grad_fd))))
         worst = max(worst, float(np.max(np.abs(out.hess - jac_fd))))

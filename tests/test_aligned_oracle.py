@@ -59,15 +59,14 @@ class AlignedOracle(Oracle):
         super().__init__()
         self.problem = problem
 
-    def _compute_function(self, x, eps0):
-        return float(self.problem.value(x)), eps0
-
-    def _compute_derivative(self, x, j, eps_j):
+    def _compute(self, x, j, eps):
+        if j == 0:
+            return self.problem.value(x), eps
         if j == 1:
             g = np.asarray(self.problem.grad(x), dtype=float)
             gn = float(np.linalg.norm(g))
-            return (g if gn == 0.0 else g - (min(eps_j, gn) / gn) * g), eps_j
-        return np.asarray(self.problem.hess(x), dtype=float) + eps_j * np.eye(x.size), eps_j
+            return (g if gn == 0.0 else g - (min(eps, gn) / gn) * g), eps
+        return np.asarray(self.problem.hess(x), dtype=float) + eps * np.eye(x.size), eps
 
 
 class ValueAdversary(AlignedOracle):
@@ -83,9 +82,11 @@ class ValueAdversary(AlignedOracle):
         self.origin = bundle.origin.tobytes()
         return bundle
 
-    def _compute_function(self, x, eps0):
+    def _compute(self, x, j, eps):
+        if j:
+            return super()._compute(x, j, eps)
         f = float(self.problem.value(x))
-        return (f + eps0 if x.tobytes() == self.origin else f - eps0), eps0
+        return (f + eps if x.tobytes() == self.origin else f - eps), eps
 
 
 def _exact_ratio(problem, x, q, eps):

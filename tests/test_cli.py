@@ -215,8 +215,8 @@ class TestSolve:
 
         class LateNaN(cli.ExactOracle):
             # a gradient that turns NaN on the fifth computation
-            def _compute_derivative(self, x, j, eps_j):
-                grad, promise = super()._compute_derivative(x, j, eps_j)
+            def _compute(self, x, j, eps):
+                grad, promise = super()._compute(x, j, eps)
                 if j == 1 and self.counters.deriv_evals.get(1, 0) >= 4:
                     grad = np.full_like(grad, np.nan)
                 return grad, promise
@@ -341,10 +341,23 @@ class TestDatasetFile:
         assert summary["status"] != "budget"
         assert summary["totals"]["component_evals"] > 0
 
+    def test_problem_flag_keeps_the_configs_own_section(self, tmp_path):
+        from dynreg import make_synthetic_dataset, save_dataset
+
+        data = tmp_path / "train.csv"
+        save_dataset(make_synthetic_dataset(200, 3, seed=10), data)
+        payload = {"problem": {"name": "sigmoid-file", "path": str(data)}, "oracle": {"kind": "subsampled"}}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--problem", "sigmoid-file", "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "summary.json").read_text())["totals"]["component_evals"] > 0
+        # another problem replaces the section, whose path it would reject
+        code = main(["solve", "--config", str(cfg), "--problem", "sigmoid-synthetic", "--out", str(tmp_path / "q")])
+        assert code == EXIT_OK
+
     @pytest.mark.parametrize("command", ["solve", "sample-check"])
     def test_missing_dataset_path_exit_2(self, tmp_path, capsys, command):
-        # from a config file, and from --problem, which replaces the whole
-        # problem section
+        # from a config file, and from --problem with no config file
         cfg = write_config(tmp_path, {"problem": {"name": "sigmoid-file"}, "oracle": {"kind": "subsampled"}})
         for route in (["--config", str(cfg)], ["--problem", "sigmoid-file"]):
             assert main([command, *route, "--out", str(tmp_path / "o")]) == EXIT_CONFIG

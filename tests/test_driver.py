@@ -261,11 +261,12 @@ class TestAbort:
         class FlakyOracle(NoisyOracle):
             calls = 0
 
-            def _compute_derivative(self, x, j, eps_j):
-                FlakyOracle.calls += 1
-                if FlakyOracle.calls > 4:
-                    raise RuntimeError("oracle backend went away")
-                return super()._compute_derivative(x, j, eps_j)
+            def _compute(self, x, j, eps):
+                if j > 0:  # only derivative computations fail
+                    FlakyOracle.calls += 1
+                    if FlakyOracle.calls > 4:
+                        raise RuntimeError("oracle backend went away")
+                return super()._compute(x, j, eps)
 
         with pytest.raises(RunAborted) as err:
             run(FlakyOracle(prob), np.array([1.0]), AlgoParams(eps=1e-6), Orders(p=1, q=1))
@@ -288,8 +289,8 @@ class TestAbort:
         from dynreg import InvalidPromiseError, RunAborted
 
         class NanPromise(ExactOracle):
-            def _compute_derivative(self, x, j, eps_j):
-                return super()._compute_derivative(x, j, eps_j)[0], float("nan")
+            def _compute(self, x, j, eps):
+                return super()._compute(x, j, eps)[0], float("nan")
 
         with pytest.raises(RunAborted, match="iteration 0: order-1 promise nan") as err:
             run(NanPromise(make_rosenbrock()), np.array([-1.2, 1.0]), AlgoParams(eps=1e-5), Orders(2, 1))
@@ -344,11 +345,8 @@ class TestPromiseKeyedCache:
     def _promise_request(base):
         # the same oracle, with every result promising only what was requested
         class PromiseRequest(base):
-            def _compute_function(self, x, eps0):
-                return super()._compute_function(x, eps0)[0], eps0
-
-            def _compute_derivative(self, x, j, eps_j):
-                return super()._compute_derivative(x, j, eps_j)[0], eps_j
+            def _compute(self, x, j, eps):
+                return super()._compute(x, j, eps)[0], eps
 
         return PromiseRequest
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dynreg import _kernels, load_dataset, make_synthetic_dataset, psi_bounds, save_dataset, sigmoid_ls_derivs
+from dynreg import _kernels, load_dataset, make_synthetic_dataset, save_dataset, sigmoid_ls_derivs
 from dynreg.problems import _make_dataset
 
 SUMS = (_kernels.value_sum, _kernels.grad_sum, _kernels.hess_sum)
@@ -187,7 +187,6 @@ def _assert_column_major_copy_of(d, rows):
     assert d.features.shape == rows.shape
     np.testing.assert_array_equal(d.features, rows)
     assert d.kappa_bounds == _c_order_bounds(rows)
-    assert psi_bounds(d) == d.kappa_bounds
 
 
 def test_datasets_store_read_only_column_major_features(tmp_path):

@@ -1,7 +1,11 @@
+import contextlib
+from collections import OrderedDict
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dynreg import (
     AccuracyLadder,
@@ -16,7 +20,6 @@ from dynreg import (
     make_quadratic,
     make_rosenbrock,
     make_synthetic_dataset,
-    psi_bounds,
     sample_size,
     subsampled_eval,
 )
@@ -403,10 +406,10 @@ class TestSubsampledOracle:
         # huge accuracy demands clamp every request to the full population
         oracle = SubsampledOracle(self.dataset, t=0.05, seed=9)
         for k in range(2):
-            oracle.begin_iteration()
             oracle.request_derivatives(np.full(6, float(k)), 1e-9, upto=1)
             extras = oracle.end_iteration()
         assert extras == {"sample_sizes": {1: self.dataset.size}}
+        assert oracle.end_iteration() == {"sample_sizes": {}}  # each call starts a new iteration
 
     def test_empirical_accuracy_on_a_small_grid(self):
         # Monte-Carlo check of the Bernstein rule at one accuracy level
@@ -494,7 +497,7 @@ class TestInvalidRequest:
         with pytest.raises(ValueError, match="not a finite positive number"):
             self.request(oracle, method, eps)
         assert self.counts(oracle) == (0, {}, 0)
-        assert not oracle._fun_cache and not oracle._deriv_cache
+        assert not oracle._cache
         self.request(oracle, method, 0.1)
         cached = self.counts(oracle)
         with pytest.raises(ValueError, match="not a finite positive number"):
@@ -509,13 +512,9 @@ class TestInvalidPromise:
     @staticmethod
     def oracle(promise, bad_order):
         class BadPromise(ExactOracle):
-            def _compute_function(self, x, eps0):
-                value, ok = super()._compute_function(x, eps0)
-                return value, promise if bad_order == 0 else ok
-
-            def _compute_derivative(self, x, j, eps_j):
-                tensor, ok = super()._compute_derivative(x, j, eps_j)
-                return tensor, promise if j == bad_order else ok
+            def _compute(self, x, j, eps):
+                result, ok = super()._compute(x, j, eps)
+                return result, promise if j == bad_order else ok
 
         return BadPromise(make_rosenbrock())
 
@@ -534,16 +533,121 @@ class TestInvalidPromise:
             assert done == count
 
 
+class ReferenceCache:
+    """The cache rule in its plainest form: one LRU of four points for values
+    and derivatives alike, and order j at a point recomputed, and counted,
+    iff its cached promise is looser than the request."""
+
+    def __init__(self, compute):
+        self.compute, self.points, self.counts = compute, OrderedDict(), [0, 0, 0]
+
+    def serve(self, x, j, eps):
+        entries = self.points.pop(x.tobytes(), {})
+        self.points[x.tobytes()] = entries
+        if len(self.points) > 4:
+            self.points.popitem(last=False)
+        if j not in entries or entries[j][1] > eps:
+            self.counts[j] += 1
+            entries[j] = self.compute(x, j, eps)  # a rejected result raises and is not stored
+        return entries[j]
+
+
+def poisonable(base):
+    """``base`` whose computed results are rejected while ``poison`` is set:
+    "nan" makes the result NaN, "promise" makes the promise negative."""
+
+    class Poisonable(base):
+        poison = None
+
+        def _compute(self, x, j, eps):
+            result, promise = super()._compute(x, j, eps)
+            if self.poison == "nan":
+                return result * np.nan, promise
+            return result, -1.0 if self.poison == "promise" else promise
+
+    return Poisonable
+
+
+REQUESTS = st.lists(
+    st.tuples(
+        st.sampled_from([0, 1, 2]),  # 0: request_function, else request_derivatives with this upto
+        st.integers(0, 5),  # the point
+        st.sampled_from([1.0, 0.3, 0.1, 1e-9]),  # the requested accuracy
+        st.sampled_from([None, None, None, None, None, None, "nan", "promise"]),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestOneCacheRule:
+    """Interleaved value and derivative requests at up to six points, each
+    answered exactly as ``ReferenceCache`` answers it.  The reference
+    computes with a twin oracle's own hook, so a served result equal in
+    bits to the reference's was computed at the same accuracy, with the
+    same promise; for a value, that is how its promise shows."""
+
+    DATASET = make_synthetic_dataset(60, 2, seed=8)
+    REJECTED = {"nan": NonFiniteEvaluationError, "promise": oracles.InvalidPromiseError}
+
+    @classmethod
+    def make(cls, kind):
+        if kind == "exact":
+            return poisonable(ExactOracle)(make_rosenbrock())
+        if kind == "noisy":
+            return poisonable(NoisyOracle)(make_rosenbrock(), 0.9, seed=6)
+        return poisonable(SubsampledOracle)(cls.DATASET, t=0.05, seed=6)
+
+    @pytest.mark.parametrize("kind", ["exact", "noisy", "subsampled"])
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(n_points=st.integers(1, 6), requests=REQUESTS)
+    # values at four other points evict the derivatives at point 0
+    @example(n_points=5, requests=[(1, 0, 0.3, None), *((0, i, 0.3, None) for i in range(1, 5)), (1, 0, 0.3, None)])
+    def test_matches_the_reference(self, kind, n_points, requests):
+        oracle, twin = self.make(kind), self.make(kind)
+        poison = None
+
+        def compute(x, j, eps):
+            result, promise = twin._compute(x, j, eps)
+            if poison is not None:
+                raise self.REJECTED[poison]
+            return result, promise
+
+        ref = ReferenceCache(compute)
+        for upto, i, eps, poison in requests:
+            x = np.array([0.4 * (i % n_points) - 1.0, 0.25 * (i % n_points)])
+            rejected = None
+            try:
+                expected = [ref.serve(x, j, eps) for j in ((0,) if upto == 0 else range(1, upto + 1))]
+            except tuple(self.REJECTED.values()) as exc:
+                rejected = type(exc)
+            oracle.poison = poison
+            with pytest.raises(rejected) if rejected else contextlib.nullcontext():
+                served = oracle.request_function(x, eps) if upto == 0 else oracle.request_derivatives(x, eps, upto)
+            c = oracle.counters
+            assert [c.fun_evals, c.deriv_evals.get(1, 0), c.deriv_evals.get(2, 0)] == ref.counts
+            assert c.component_evals == twin.counters.component_evals
+            if rejected:
+                continue
+            if upto == 0:
+                assert served == expected[0][0]
+            else:
+                assert served.achieved_acc == {j: promise for j, (_, promise) in enumerate(expected, 1)}
+                np.testing.assert_array_equal(served.grad, expected[0][0])
+                if upto == 2:
+                    np.testing.assert_array_equal(served.hess, 0.5 * (expected[1][0] + expected[1][0].T))
+
+
 class TestPsiBounds:
     def test_uniform_norm_rows(self):
         feats = np.zeros((4, 2))
         feats[:, 0] = 5.0
         ds = _make_dataset(feats, np.zeros(4))
-        assert psi_bounds(ds) == (1.0, 2.0, 5.0)
+        assert ds.kappa_bounds == (1.0, 2.0, 5.0)
 
     def test_zero_feature_row(self):
         ds = _make_dataset(np.zeros((1, 3)), np.ones(1))
-        assert psi_bounds(ds) == (1.0, 0.0, 0.0)
+        assert ds.kappa_bounds == (1.0, 0.0, 0.0)
 
     def test_bounds_hold_at_random_points(self):
         ds = make_synthetic_dataset(60, 4, seed=3)
@@ -559,7 +663,7 @@ class TestPsiBounds:
 
     def test_coefficient_maxima_on_a_dense_grid(self):
         # with a = e_1 the gradient and Hessian of a component are their
-        # coefficients; psi_bounds uses 2/5 and 1/5 as their maxima over v
+        # coefficients; kappa_bounds uses 2/5 and 1/5 as their maxima over v
         v = np.linspace(1e-6, 1.0 - 1e-6, 4001)
         a = np.array([1.0])
         for b in (0.0, 1.0):

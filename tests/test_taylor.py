@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,17 +14,15 @@ from dynreg import (
     make_quartic,
     model_accuracy,
     model_taylor_derivs,
-    model_value,
     taylor_increment,
 )
 
 
-def bundle(grad=None, hess=None, value=None, n=None):
+def bundle(grad=None, hess=None, n=None):
     if n is None:
         n = len(grad)
     return DerivativeBundle(
         origin=np.zeros(n),
-        value=value,
         grad=None if grad is None else np.asarray(grad, float),
         hess=None if hess is None else np.asarray(hess, float),
     )
@@ -113,41 +113,6 @@ class TestTaylorIncrement:
             taylor_increment(bundle(grad=[1.0, 0.0]), np.zeros(3), 1)
 
 
-class TestModelValue:
-    def test_pure_regularizer(self):
-        b = bundle(grad=[0.0, 0.0], hess=np.zeros((2, 2)), value=0.0)
-        v = model_value(b, np.array([1.0, 0.0]), sigma=6.0, orders=Orders(p=2, q=1))
-        assert v == pytest.approx(1.0, abs=0)
-
-    def test_degree_one_example(self):
-        b = bundle(grad=[1.0, 0.0], value=2.0)
-        v = model_value(b, np.array([-0.5, 0.0]), sigma=2.0, orders=Orders(p=1, q=1))
-        assert v == pytest.approx(1.75, abs=0)
-
-    def test_zero_step_returns_value(self):
-        b = bundle(grad=[3.0, -1.0], hess=np.eye(2), value=4.25)
-        assert model_value(b, np.zeros(2), 1.0, Orders(p=2, q=1)) == 4.25
-
-    def test_decrease_exceeds_regularizer(self):
-        # m(s) < m(0) forces the increment above the regularizer term
-        rng = np.random.default_rng(3)
-        orders = Orders(p=2, q=1)
-        found = 0
-        for _ in range(200):
-            n = rng.integers(1, 5)
-            g = rng.standard_normal(n)
-            h = rng.standard_normal((n, n))
-            h = 0.5 * (h + h.T)
-            s = rng.standard_normal(n)
-            sigma = float(rng.uniform(0.1, 5.0))
-            b = bundle(grad=g, hess=h, value=0.0)
-            if model_value(b, s, sigma, orders) < 0.0:
-                found += 1
-                reg = sigma / holder_factorial(2, 1.0) * np.linalg.norm(s) ** 3
-                assert taylor_increment(b, s, 2) > reg
-        assert found > 20
-
-
 class TestModelTaylorDerivs:
     def test_zero_step_is_identity(self):
         g = np.array([1.0, -2.0])
@@ -178,20 +143,21 @@ class TestModelTaylorDerivs:
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(42)
-        orders = Orders(p=2, q=1)
         for _ in range(200):
             n = int(rng.integers(2, 5))
             g = rng.standard_normal(n)
             h = rng.standard_normal((n, n))
             h = 0.5 * (h + h.T)
-            b = bundle(grad=g, hess=h, value=float(rng.standard_normal()))
+            b = bundle(grad=g, hess=h)
+            f0 = float(rng.standard_normal())
             s = rng.standard_normal(n)
             s *= rng.uniform(0.3, 2.0) / np.linalg.norm(s)
             sigma = float(rng.uniform(0.1, 10.0))
             out = model_taylor_derivs(b, s, sigma)
 
             def m(z):
-                return model_value(b, z, sigma, orders)
+                # the regularized model f0 + g.z + z.H.z/2 + sigma/6 ||z||^3
+                return f0 - taylor_increment(b, z, 2) + sigma / 6.0 * math.sqrt(float(z @ z)) ** 3
 
             hcur = 1e-5
             grad_fd = np.zeros(n)
