@@ -5,17 +5,24 @@ worst-case budget checks."""
 
 from .bounds import ComplexityBudget, complexity_budget, shrink_budget, sigma_ceiling, success_count_bound
 from .certify import CertifyFlag, certify_increment
-from .driver import IterRecord, RunAborted, RunReport, Termination, TerminationKind, run, sigma_omega_update
-from .oracles import (
+from .driver import (
     AccuracyLadder,
+    IterRecord,
+    LadderUnderflowError,
+    RunAborted,
+    RunReport,
+    Termination,
+    TerminationKind,
+    run,
+    sigma_omega_update,
+)
+from .oracles import (
     EvalCounters,
     ExactOracle,
     InvalidPromiseError,
-    LadderUnderflowError,
     NoisyOracle,
     NonFiniteEvaluationError,
     Oracle,
-    StochasticConfig,
     SubsampledOracle,
     failure_probability,
     sample_size,

@@ -59,14 +59,7 @@ def success_count_bound(n_successful: int, sigma_max: float, params: AlgoParams)
     return n_successful * ratio + math.log(max(sigma_max, params.sigma0) / params.sigma0) / lg2
 
 
-def complexity_budget(
-    L: float,
-    f0: float,
-    f_low: float,
-    params: AlgoParams,
-    orders: Orders,
-    eps: float | None = None,
-) -> ComplexityBudget:
+def complexity_budget(L: float, f0: float, f_low: float, params: AlgoParams, orders: Orders) -> ComplexityBudget:
     """Evaluate every worst-case constant for one configuration.
 
     Requires honest problem metadata (L for the order-p derivative and a
@@ -78,7 +71,7 @@ def complexity_budget(
         raise ValueError("L must be nonnegative")
     if f0 < f_low:
         raise ValueError("f0 must be at least f_low")
-    eps = params.eps if eps is None else eps
+    eps = params.eps
     p, q, beta = orders.p, orders.q, orders.beta
     kw = params.kappa_omega
 

@@ -5,8 +5,8 @@ are bounded by zeta_j, the cascade classifies it as exactly zero with
 negligible tensor errors (flag 1), relatively accurate to within omega
 (flag 2), or small with a certified absolute error (flag 3).  Flag 0 means
 none of the certificates hold and the caller should tighten the accuracies.
-The room of a certificate is the factor by which one common tag could
-grow and the certificate would still hold.
+``loosest_certifying`` asks the same cascade how loose one common tag
+could be and still certify.
 """
 
 from __future__ import annotations
@@ -68,21 +68,23 @@ def certify_increment(
     return CertifyFlag.NOT_CERTIFIED
 
 
-def certificate_room(delta: float, increment: float, zeta: float, order: int, omega: float, xi: float) -> float:
-    """The factor by which the tag ``zeta`` of every order 1..``order``
-    could grow and a certificate of ``increment`` would still hold.
+def loosest_certifying(
+    delta: float, increment: float, requests: Sequence[float], order: int, omega: float, xi: float
+) -> int:
+    """The first index r at which ``certify_increment`` certifies
+    ``increment`` with ``requests[r]`` as the tag of every order
+    1..``order``, or ``len(requests)`` if it certifies at none.
 
-    For a zero increment (flag 1) it is xi / zeta; otherwise (flags 2 and
-    3) it is max(omega * increment, xi * chi_r) / sum_j zeta delta^j / j!.
-    The tag must be positive; a room below one means it alone would not
-    certify.
+    ``requests`` must not increase.  The cascade's sums do not decrease
+    with the tag, rounding included, so a tag certifies whenever a larger
+    one does, the certifying indices run from r to the end, and a
+    bisection finds r in about log2(len(requests)) cascade calls.
     """
-    if increment == 0.0:
-        return xi / zeta
-    total = chi_r = 0.0
-    term = 1.0
-    for j in range(1, order + 1):
-        term *= delta / j
-        total += zeta * term
-        chi_r += term
-    return max(omega * increment, xi * chi_r) / total
+    lo, hi = 0, len(requests)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if certify_increment(delta, increment, [requests[mid]] * order, omega, xi) is CertifyFlag.NOT_CERTIFIED:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo

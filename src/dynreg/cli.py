@@ -22,7 +22,7 @@ import numpy as np
 from . import checks
 from .bounds import ComplexityBudget, complexity_budget
 from .driver import RunAborted, RunReport, TerminationKind, run
-from .oracles import ExactOracle, NoisyOracle, StochasticConfig, SubsampledOracle, sampling_failures
+from .oracles import ExactOracle, NoisyOracle, SubsampledOracle, failure_probability, sampling_failures
 from .params import AlgoParams, Schedule, finite
 from .problems import (
     Dataset,
@@ -132,6 +132,11 @@ class RunConfig:
                 raise ConfigError(f"{key} must be a list of finite numbers, got {value!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        t_bar, t = self.oracle.get("t_bar", 0.1), self.oracle.get("t")
+        if not 0.0 < t_bar < 1.0:
+            raise ConfigError(f"t_bar must lie in (0, 1), got {t_bar!r}")
+        if t is not None and not 0.0 < t <= t_bar:
+            raise ConfigError(f"t must lie in (0, t_bar], got {t!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -180,8 +185,11 @@ def build_problem(cfg: RunConfig) -> tuple[Problem, Dataset | None, np.ndarray]:
     return problem, dataset, x0
 
 
-def stochastic_config(cfg: RunConfig) -> StochasticConfig:
-    return StochasticConfig(t_bar=float(cfg.oracle.get("t_bar", 0.1)), t=cfg.oracle.get("t"))
+def _sampling_t(cfg: RunConfig, eps: float, orders: Orders) -> float:
+    """The subsampled oracle's per-inequality failure probability: the
+    config's ``t``, else ``failure_probability`` of its ``t_bar``."""
+    t = cfg.oracle.get("t")
+    return failure_probability(eps, orders, cfg.oracle.get("t_bar", 0.1)) if t is None else t
 
 
 def build_oracle(cfg: RunConfig, problem: Problem, dataset: Dataset | None, params: AlgoParams, orders: Orders):
@@ -192,7 +200,7 @@ def build_oracle(cfg: RunConfig, problem: Problem, dataset: Dataset | None, para
         return NoisyOracle(problem, float(cfg.oracle.get("noise_fraction", 0.9)), seed=cfg.seed)
     if dataset is None:
         raise ConfigError("subsampled oracle requires a sigmoid dataset problem")
-    return SubsampledOracle(dataset, stochastic_config(cfg).resolve_t(params.eps, orders), cfg.seed)
+    return SubsampledOracle(dataset, _sampling_t(cfg, params.eps, orders), cfg.seed)
 
 
 def execute(cfg: RunConfig) -> tuple[RunReport, Problem, Dataset | None, np.ndarray]:
@@ -389,7 +397,7 @@ def cmd_sample_check(cfg: RunConfig, trials: int, eps_fracs: list[float], out_di
     _, dataset, x0 = build_problem(cfg)
     if dataset is None:
         raise ConfigError("sample-check requires a sigmoid dataset problem")
-    t = stochastic_config(cfg).resolve_t(cfg.build_params().eps, cfg.build_orders())
+    t = _sampling_t(cfg, cfg.build_params().eps, cfg.build_orders())
 
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []

@@ -22,14 +22,14 @@ or at kappa_eps when there are none.  MONOTONIC never resets the ladder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .certify import CertifyFlag, certificate_room, certify_increment
-from .oracles import AccuracyLadder, EvalCounters, Oracle
-from .params import AlgoParams, Schedule
+from .certify import CertifyFlag, certify_increment, loosest_certifying
+from .oracles import EvalCounters, Oracle
+from .params import LADDER_TINY, AlgoParams, Schedule
 from .subsolvers import OPTIMALITY_RADIUS, model_descent_step, optimality_measure
 from .taylor import Orders, chi
 
@@ -133,6 +133,43 @@ class RunReport:
         return sum(r.shrinks for r in self.trace)
 
 
+class LadderUnderflowError(RuntimeError):
+    """The accuracy ladder shrank below machine tiny; should be unreachable."""
+
+
+@dataclass
+class AccuracyLadder:
+    """The absolute accuracy eps requested for every derivative order.
+
+    ``rungs[i]`` is kappa_eps after i shrinks by gamma_eps, built once on
+    first use; ``eps`` is ``rungs[i_eps]``.  The ladder has no schedule:
+    the driver resets it for each FLEXIBLE iteration and never under
+    MONOTONIC.
+    """
+
+    gamma_eps: float
+    kappa_eps: float
+    rungs: list[float] = field(init=False)
+    eps: float = field(init=False)
+    i_eps: int = field(init=False)
+
+    def __post_init__(self):
+        self.rungs = [self.kappa_eps]
+        self.reset()
+
+    def reset(self, rung: int = 0) -> None:
+        while len(self.rungs) <= rung:
+            eps = self.rungs[-1] * self.gamma_eps
+            if eps < LADDER_TINY:
+                raise LadderUnderflowError(f"accuracy threshold below {LADDER_TINY:g} after {len(self.rungs)} shrinks")
+            self.rungs.append(eps)
+        self.eps = self.rungs[rung]
+        self.i_eps = rung
+
+    def shrink(self) -> None:
+        self.reset(self.i_eps + 1)
+
+
 class RunAborted(RuntimeError):
     """A subsolver, the ladder, the oracle or a certification guard failed
     mid-run (a ``RuntimeError`` or ``ValueError`` inside the loop, such as a
@@ -173,17 +210,17 @@ def _certify(stage, flags, starts, ladder, delta, increment, acc, order, omega, 
     shrinks and the caller computes again.
 
     Under FLEXIBLE ``starts`` is a dict (under MONOTONIC it is None), and
-    a certificate at a rung above 0 records in ``starts[stage]`` the
-    loosest rung at which the ladder's requested accuracy, taken as the
-    tag of every order, would still certify it.  The request, not the
-    promise, sets that rung: a full-batch promise of 0 says nothing about
-    the subsample a looser request would draw.  The model site takes the
-    request as is, not through ``model_accuracy``: near convergence its
-    increment is about 0 and its threshold fixed, so the tripled tags
-    would pin the start after every short step at one rung, and the
-    iteration that then needs only the measure could not loosen.  The
-    rung only sets what is requested; certificates always rest on the
-    promise.
+    a certificate at rung i > 0 records in ``starts[stage]`` the first
+    rung r < i at which the cascade certifies the same increment with
+    rung r's request as the tag of every order, or i if there is none.
+    The request, not the promise, sets that rung: a full-batch promise of
+    0 says nothing about the subsample a looser request would draw.  The
+    model site takes the request as is, not through ``model_accuracy``:
+    near convergence its increment is about 0 and its threshold fixed, so
+    the tripled tags would pin the start after every short step at one
+    rung, and the iteration that then needs only the measure could not
+    loosen.  The rung only sets what is requested; certificates always
+    rest on the promise.
     """
     zetas = [acc[j] for j in range(1, order + 1)]
     flag = certify_increment(delta, increment, zetas, omega, xi)
@@ -191,8 +228,7 @@ def _certify(stage, flags, starts, ladder, delta, increment, acc, order, omega, 
     if flag is CertifyFlag.NOT_CERTIFIED:
         ladder.shrink()
     elif starts is not None and ladder.i_eps:
-        room = certificate_room(delta, increment, ladder.eps, order, omega, xi)
-        starts[stage] = ladder.loosest_rung(room)
+        starts[stage] = loosest_certifying(delta, increment, ladder.rungs[: ladder.i_eps], order, omega, xi)
     return flag
 
 

@@ -25,21 +25,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import LADDER_TINY
 from .problems import Dataset, Problem
 from .taylor import DerivativeBundle, Orders
 from . import _kernels
 
 __all__ = [
-    "AccuracyLadder",
     "EvalCounters",
     "ExactOracle",
     "InvalidPromiseError",
-    "LadderUnderflowError",
     "NoisyOracle",
     "NonFiniteEvaluationError",
     "Oracle",
-    "StochasticConfig",
     "SubsampledOracle",
     "failure_probability",
     "sample_size",
@@ -50,62 +46,12 @@ __all__ = [
 _CACHE_POINTS = 4
 
 
-class LadderUnderflowError(RuntimeError):
-    """The accuracy ladder shrank below machine tiny; should be unreachable."""
-
-
 class NonFiniteEvaluationError(RuntimeError):
     """An oracle computed a value or tensor with a NaN or infinite entry."""
 
 
 class InvalidPromiseError(RuntimeError):
     """An oracle promised an accuracy that is negative, NaN or infinite."""
-
-
-@dataclass
-class AccuracyLadder:
-    """The absolute accuracy eps requested for every derivative order.
-
-    Rung i holds kappa_eps * gamma_eps^i, built by i shrinks from kappa_eps
-    (a reset to rung i carries the bits of i shrinks).  The ladder has no
-    schedule: the driver resets it for each FLEXIBLE iteration and never
-    under MONOTONIC.
-    """
-
-    gamma_eps: float
-    kappa_eps: float
-    eps: float = field(init=False)
-    i_eps: int = field(init=False)
-
-    def __post_init__(self):
-        self.reset()
-
-    def reset(self, rung: int = 0) -> None:
-        self.eps = self.kappa_eps
-        self.i_eps = 0
-        while self.i_eps < rung:
-            self.shrink()
-
-    def loosest_rung(self, room: float) -> int:
-        """The loosest rung at which a certificate made at the current rung
-        with ``room`` (see ``certify.certificate_room``) still holds.
-
-        Each rung looser multiplies the thresholds by 1/gamma_eps, so this
-        is i_eps - floor(log_{1/gamma_eps}(room)), clamped to [0, i_eps]:
-        never tighter than the current rung, never looser than kappa_eps.
-        """
-        widen = 1.0 / self.gamma_eps
-        rung = self.i_eps
-        while rung > 0 and room >= widen:
-            room /= widen
-            rung -= 1
-        return rung
-
-    def shrink(self) -> None:
-        self.eps *= self.gamma_eps
-        if self.eps < LADDER_TINY:
-            raise LadderUnderflowError(f"accuracy threshold below {LADDER_TINY:g} after {self.i_eps + 1} shrinks")
-        self.i_eps += 1
 
 
 @dataclass
@@ -119,30 +65,6 @@ class EvalCounters:
 
     def bump_deriv(self, j: int) -> None:
         self.deriv_evals[j] = self.deriv_evals.get(j, 0) + 1
-
-
-@dataclass(frozen=True)
-class StochasticConfig:
-    """Failure-probability budget of the subsampled oracle.
-
-    ``t`` is the per-inequality failure probability; if absent it is
-    derived from ``t_bar`` and the target accuracy via
-    ``failure_probability``.
-    """
-
-    t_bar: float = 0.1
-    t: float | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.t_bar < 1.0:
-            raise ValueError("t_bar must lie in (0, 1)")
-        if self.t is not None and not 0.0 < self.t <= self.t_bar:
-            raise ValueError("t must lie in (0, t_bar]")
-
-    def resolve_t(self, eps: float, orders: Orders) -> float:
-        if self.t is not None:
-            return self.t
-        return failure_probability(eps, orders, self.t_bar)
 
 
 def failure_probability(eps: float, orders: Orders, t_bar: float) -> float:
@@ -404,7 +326,8 @@ class SubsampledOracle(Oracle):
     cache serves it to every later request at the same point.  One seeded
     generator drives all draws, making whole runs replayable.  Each
     iteration's trace extras hold ``sample_sizes``: per order, the size of
-    its last draw in the iteration (N for a full sum).
+    its smallest draw in the iteration (N for a full sum).  Sizes grow as
+    the ladder tightens, so that is the iteration's first draw.
     """
 
     def __init__(self, dataset: Dataset, t: float, seed: int):
@@ -419,7 +342,7 @@ class SubsampledOracle(Oracle):
     def _compute(self, x, j, eps):
         ds = self.dataset
         m = sample_size(ds.kappa_bounds[j], eps, self.t, _dimension_factor(j, ds.dim), ds.size)
-        self._iter_sizes[j] = m
+        self._iter_sizes[j] = min(m, self._iter_sizes.get(j, m))
         promise = eps if m < ds.size else 0.0
         return subsampled_eval(ds, x, j, m, self.rng, self.counters), promise
 

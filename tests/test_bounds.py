@@ -34,15 +34,15 @@ class TestBudget:
     def test_success_bound_scales_with_eps(self):
         params = AlgoParams()
         orders = Orders(p=1, q=1)
-        b1 = complexity_budget(2.0, 5.0, 0.0, params, orders, eps=1e-2)
-        b2 = complexity_budget(2.0, 5.0, 0.0, params, orders, eps=1e-3)
+        b1 = complexity_budget(2.0, 5.0, 0.0, replace(params, eps=1e-2), orders)
+        b2 = complexity_budget(2.0, 5.0, 0.0, replace(params, eps=1e-3), orders)
         # exponent (p+beta)/(p-q+beta) = 2: one decade in eps is two decades
         # in the bound
         assert b2.max_successful / b1.max_successful == pytest.approx(100.0, rel=1e-3)
 
     def test_total_bound_exceeds_success_bound(self):
         params = AlgoParams()
-        b = complexity_budget(2.0, 5.0, 0.0, params, Orders(p=2, q=1), eps=1e-3)
+        b = complexity_budget(2.0, 5.0, 0.0, replace(params, eps=1e-3), Orders(p=2, q=1))
         assert b.max_total >= b.max_successful
         assert b.max_fun_evals == 2 * b.max_total
 
@@ -50,8 +50,8 @@ class TestBudget:
         flexible = AlgoParams()
         monotonic = AlgoParams(schedule=Schedule.MONOTONIC)
         orders = Orders(p=1, q=1)
-        bf = complexity_budget(1.0, 5.0, 0.0, flexible, orders, eps=1e-3)
-        bm = complexity_budget(1.0, 5.0, 0.0, monotonic, orders, eps=1e-3)
+        bf = complexity_budget(1.0, 5.0, 0.0, replace(flexible, eps=1e-3), orders)
+        bm = complexity_budget(1.0, 5.0, 0.0, replace(monotonic, eps=1e-3), orders)
         assert bf.max_deriv_evals == (1 + bf.nu_max) * bf.max_total
         assert bm.max_deriv_evals == bm.nu_max + bm.max_total
         assert bm.max_deriv_evals < bf.max_deriv_evals

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynreg import CertifyFlag, certify_increment, chi, trust_region_min
-from dynreg.certify import certificate_room
 
 
 class TestFlagExamples:
@@ -140,35 +139,6 @@ class TestSoundness:
             assert abs(exact - increment) <= xi * chi(r, delta) + rounding
         elif flag is CertifyFlag.ZERO_INCREMENT:
             assert abs(exact) <= xi * chi(r, delta) + rounding
-
-
-class TestCertificateRoom:
-    def test_zero_increment_uses_xi_over_the_largest_tag(self):
-        assert certificate_room(1.0, 0.0, 0.04, 2, omega=0.1, xi=0.2) == 0.2 / 0.04
-
-    def test_examples(self):
-        # sum = 0.01 + 0.005 = 0.015; omega * increment = 0.1 beats xi * chi_2(1)
-        assert certificate_room(1.0, 1.0, 0.01, 2, omega=0.1, xi=0.001) == pytest.approx(0.1 / 0.015)
-        # xi * chi_2(1) = 0.15 beats omega * increment = 1e-4
-        assert certificate_room(1.0, 0.001, 0.05, 2, omega=0.1, xi=0.1) == pytest.approx(0.15 / 0.075)
-
-    @settings(derandomize=True, deadline=None, max_examples=100)
-    @given(
-        delta=st.floats(1e-3, 1.0),
-        increment=st.one_of(st.just(0.0), st.floats(1e-8, 10.0)),
-        zeta=st.floats(1e-6, 1.0),
-        order=st.integers(1, 2),
-        omega=st.floats(1e-3, 0.5),
-        xi=st.floats(1e-6, 1.0),
-    )
-    def test_room_is_the_certification_threshold(self, delta, increment, zeta, order, omega, xi):
-        # scaling the tag of every order by a bit less than the room
-        # certifies, by a bit more does not
-        room = certificate_room(delta, increment, zeta, order, omega, xi)
-        inside = certify_increment(delta, increment, [zeta * room * (1 - 1e-9)] * order, omega, xi)
-        outside = certify_increment(delta, increment, [zeta * room * (1 + 1e-9)] * order, omega, xi)
-        assert inside is not CertifyFlag.NOT_CERTIFIED
-        assert outside is CertifyFlag.NOT_CERTIFIED
 
 
 class TestValidation:

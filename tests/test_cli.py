@@ -47,6 +47,16 @@ def _section(required, optional):
     return st.fixed_dictionaries(required, optional=optional)
 
 
+@st.composite
+def _oracle_section(draw):
+    # t lies in (0, t_bar], and t_bar is 0.1 when absent
+    kinds = {"kind": st.sampled_from(["exact", "noisy", "subsampled"])}
+    section = draw(_section(kinds, {"noise_fraction": st.floats(0.0, 1.0), "t_bar": UNIT}))
+    if draw(st.booleans()):
+        section["t"] = draw(st.floats(1e-6, 1.0)) * section.get("t_bar", 0.1)
+    return section
+
+
 VALID_CONFIGS = st.fixed_dictionaries(
     {},
     optional={
@@ -63,10 +73,7 @@ VALID_CONFIGS = st.fixed_dictionaries(
         "orders": st.sampled_from([(1, 1), (2, 1), (2, 2)]).flatmap(
             lambda pq: _section({"p": st.just(pq[0]), "q": st.just(pq[1])}, {"beta": st.just(1.0)})
         ),
-        "oracle": _section(
-            {"kind": st.sampled_from(["exact", "noisy", "subsampled"])},
-            {"noise_fraction": st.floats(0.0, 1.0), "t_bar": UNIT, "t": UNIT},
-        ),
+        "oracle": _oracle_section(),
         "algo": _section(
             {},
             {
@@ -113,6 +120,21 @@ class TestConfig:
     def test_unknown_keys_rejected(self, payload):
         with pytest.raises(ConfigError):
             RunConfig.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "oracle",
+        [
+            {"kind": "subsampled", "t_bar": 0.0},
+            {"kind": "subsampled", "t_bar": 0.1, "t": 0.2},
+            {"kind": "subsampled", "t_bar": 1.5},
+        ],
+        ids=["t_bar_zero", "t_above_t_bar", "t_bar_above_one"],
+    )
+    def test_failure_probability_ranges(self, oracle):
+        # 0 < t_bar < 1 and 0 < t <= t_bar are checked at config load,
+        # before the problem is built
+        with pytest.raises(ConfigError, match="must lie in"):
+            RunConfig.from_dict({"oracle": oracle})
 
     def test_eps_grid_parsing(self):
         grid = parse_eps_grid("1e-1:1e-3:3")

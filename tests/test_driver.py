@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynreg import (
     AlgoParams,
@@ -530,9 +532,9 @@ class TestFlexibleStart:
         assert flag is CertifyFlag.RELATIVE_OK
         assert starts == {}
 
-    def test_room_comes_from_the_request_not_the_promise(self):
-        # a full-batch promise of 0 certifies at every rung; the request
-        # 1e-3 at rung 3 has room 0.0625 / 1e-3 = 62.5, one rung
+    def test_start_comes_from_the_request_not_the_promise(self):
+        # a full-batch promise of 0 certifies at every rung; as the tag,
+        # rung 2's request 1e-2 <= 0.0625 certifies, rung 1's 1e-1 does not
         starts = {}
         ladder = self.ladder_at(3)
         driver._certify("measure", [], starts, ladder, 1.0, 1.0, {1: 0.0}, 1, 0.0625, 1e-4)
@@ -540,7 +542,8 @@ class TestFlexibleStart:
         assert ladder.i_eps == 3
 
     def test_zero_increment_uses_xi_over_the_largest_request(self):
-        # flag 1 at rung 4: room xi / 1e-4 = 500, two rungs
+        # flag 1 at rung 4; rung 2's request 1e-2 is at most xi = 0.05,
+        # rung 1's 1e-1 is not
         starts = {}
         ladder = self.ladder_at(4)
         flag = driver._certify("step", [], starts, ladder, 0.5, 0.0, {1: 0.0, 2: 0.0}, 2, 0.0625, 0.05)
@@ -549,8 +552,8 @@ class TestFlexibleStart:
 
     def test_model_site_takes_the_request_as_is(self):
         # model tags are three times the promise; the record uses the ladder's
-        # request itself: xi / 1e-3 = 13 is one rung of room, where the
-        # tripled tags would leave 13 / 3 and none
+        # request itself: rung 2's 1e-2 is at most xi = 0.013, where the
+        # tripled 3e-2 would certify at no looser rung
         starts = {}
         ladder = self.ladder_at(3)
         flag = driver._certify("model", [], starts, ladder, 1.0, 0.0, {1: 3e-3}, 1, 0.0625, 0.013)
@@ -565,6 +568,66 @@ class TestFlexibleStart:
         ladder.shrink()
         driver._certify("measure", [], starts, ladder, 1.0, 1e-3, {1: 0.0}, 1, 0.0625, 1e-4)
         assert starts == {"measure": 3}
+
+    def test_a_request_equal_to_xi_certifies_at_its_rung(self):
+        # a zero increment certified at rung 2 (request 0.010000000000000002)
+        # with xi = 1.0: rung 0's request 1.0 <= xi certifies it
+        starts = {}
+        flag = driver._certify("step", [], starts, self.ladder_at(2), 1.0, 0.0, {1: 0.0, 2: 0.0}, 2, 0.0625, 1.0)
+        assert flag is CertifyFlag.ZERO_INCREMENT
+        assert starts == {"step": 0}
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        gamma_eps=st.floats(1e-3, 0.999),
+        kappa_eps=st.floats(1e-6, 1e3),
+        rung=st.integers(1, 6),
+        order=st.integers(1, 2),
+        delta=st.floats(1e-3, 2.0),
+        omega=st.floats(1e-3, 0.999),
+        xi=st.floats(1e-9, 1e3),
+        increment=st.one_of(st.just(0.0), st.floats(1e-9, 1e3)),
+        boundary=st.one_of(st.none(), st.integers(0, 5)),
+    )
+    def test_records_the_first_rung_the_cascade_certifies(
+        self, gamma_eps, kappa_eps, rung, order, delta, omega, xi, increment, boundary
+    ):
+        requests = [kappa_eps]
+        for _ in range(rung):
+            requests.append(requests[-1] * gamma_eps)
+        if boundary is not None:
+            # put the certificate exactly on rung b's threshold
+            b = boundary % rung
+            if increment == 0.0:
+                xi = requests[b]
+            else:
+                # omega * increment equals the cascade's sum of the tags
+                fact = power = 1.0
+                total = 0.0
+                for j in range(1, order + 1):
+                    fact *= j
+                    power *= delta
+                    total += requests[b] * power / fact
+                increment = total / omega
+                increment = next(
+                    (v for v in (increment, np.nextafter(increment, 0.0), np.nextafter(increment, np.inf))
+                     if omega * v == total),
+                    increment,
+                )
+        ladder = AccuracyLadder(gamma_eps, kappa_eps)
+        ladder.reset(rung)
+        starts = {}
+        promise = dict.fromkeys(range(1, order + 1), 0.0)
+        flag = driver._certify("measure", [], starts, ladder, delta, increment, promise, order, omega, xi)
+        assert flag is not CertifyFlag.NOT_CERTIFIED
+        expected = next(
+            (
+                r for r in range(rung)
+                if certify_increment(delta, increment, [requests[r]] * order, omega, xi) is not CertifyFlag.NOT_CERTIFIED
+            ),
+            rung,
+        )
+        assert starts == {"measure": expected}
 
     @pytest.mark.parametrize(
         "x0, orders, eps",

@@ -14,7 +14,6 @@ from dynreg import (
     NoisyOracle,
     NonFiniteEvaluationError,
     Orders,
-    StochasticConfig,
     SubsampledOracle,
     failure_probability,
     make_quadratic,
@@ -65,34 +64,6 @@ class TestAccuracyLadder:
         assert ladder.i_eps == 4
         ladder.reset(0)
         assert ladder.eps == 0.7 and ladder.i_eps == 0
-
-    @pytest.mark.parametrize("gamma", [0.1, 0.5])
-    @pytest.mark.parametrize(
-        "room_of_widen, expected",
-        [
-            # (room as a function of 1/gamma, loosest rung from rung 3)
-            (lambda w: w * (1.0 - 1e-12), 3),
-            (lambda w: w, 2),
-            (lambda w: w * (1.0 + 1e-12), 2),
-            (lambda w: w * w * (1.0 - 1e-12), 2),
-            (lambda w: w * w, 1),
-            (lambda w: w * w * (1.0 + 1e-12), 1),
-        ],
-    )
-    def test_loosest_rung_at_powers_of_the_widening(self, gamma, room_of_widen, expected):
-        ladder = AccuracyLadder(gamma, 1.0)
-        ladder.reset(3)
-        assert ladder.loosest_rung(room_of_widen(1.0 / gamma)) == expected
-
-    def test_loosest_rung_clamps(self):
-        ladder = AccuracyLadder(0.1, 1.0)
-        ladder.reset(2)
-        # never tighter than the current rung, never looser than kappa_eps
-        assert ladder.loosest_rung(0.5) == 2
-        assert ladder.loosest_rung(1e300) == 0
-        assert ladder.loosest_rung(float("inf")) == 0
-        ladder.reset()
-        assert ladder.loosest_rung(1e6) == 0
 
 
 class TestSampleSize:
@@ -411,6 +382,19 @@ class TestSubsampledOracle:
         assert extras == {"sample_sizes": {1: self.dataset.size}}
         assert oracle.end_iteration() == {"sample_sizes": {}}  # each call starts a new iteration
 
+    def test_iteration_extras_report_the_smallest_draw(self):
+        # a sampled draw, then a full one at the same point: the iteration
+        # reports the first, smaller size, not the last
+        oracle = SubsampledOracle(self.dataset, t=0.05, seed=9)
+        x = np.full(6, 0.1)
+        kappa = self.dataset.kappa_bounds[1]
+        m = sample_size(kappa, kappa, 0.05, 7, self.dataset.size)
+        assert m < self.dataset.size
+        oracle.request_derivatives(x, kappa, upto=1)
+        oracle.request_derivatives(x, 1e-9, upto=1)
+        assert oracle.counters.deriv_evals == {1: 2}
+        assert oracle.end_iteration() == {"sample_sizes": {1: m}}
+
     def test_empirical_accuracy_on_a_small_grid(self):
         # Monte-Carlo check of the Bernstein rule at one accuracy level
         kappa = self.dataset.kappa_bounds[1]
@@ -683,9 +667,3 @@ class TestStochasticConfig:
 
     def test_cap(self):
         assert failure_probability(0.99, Orders(p=1, q=1), 0.9) == 0.1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            StochasticConfig(t_bar=0.0)
-        with pytest.raises(ValueError):
-            StochasticConfig(t_bar=0.1, t=0.2)
