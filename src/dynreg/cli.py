@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +137,8 @@ class RunConfig:
             raise ConfigError(f"t_bar must lie in (0, 1), got {t_bar!r}")
         if t is not None and not 0.0 < t <= t_bar:
             raise ConfigError(f"t must lie in (0, t_bar], got {t!r}")
+        if not 0.0 <= self.oracle.get("noise_fraction", 0.9) <= 1.0:
+            raise ConfigError("noise_fraction must lie in [0, 1]")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -167,9 +169,10 @@ def build_problem(cfg: RunConfig) -> tuple[Problem, Dataset | None, np.ndarray]:
         problem = make_rosenbrock()
         x0 = np.array([-1.2, 1.0])
     elif name == "sigmoid-synthetic":
-        dataset = make_synthetic_dataset(
-            int(spec.get("N", 10_000)), int(spec.get("n", 20)), int(spec.get("data_seed", 1234))
-        )
+        n = int(spec.get("n", 20))
+        if "x0" in spec and len(spec["x0"]) != n:  # before the dataset is built
+            raise ConfigError(f"x0 must have dimension {n}")
+        dataset = make_synthetic_dataset(int(spec.get("N", 10_000)), n, int(spec.get("data_seed", 1234)))
         problem = make_sigmoid_problem(dataset)
         x0 = np.zeros(problem.n)
     elif name == "sigmoid-file":
@@ -203,13 +206,12 @@ def build_oracle(cfg: RunConfig, problem: Problem, dataset: Dataset | None, para
     return SubsampledOracle(dataset, _sampling_t(cfg, params.eps, orders), cfg.seed)
 
 
-def execute(cfg: RunConfig) -> tuple[RunReport, Problem, Dataset | None, np.ndarray]:
+def execute(cfg: RunConfig) -> tuple[RunReport, Problem, np.ndarray]:
     orders = cfg.build_orders()
     params = cfg.build_params()
     problem, dataset, x0 = build_problem(cfg)
     oracle = build_oracle(cfg, problem, dataset, params, orders)
-    report = run(oracle, x0, params, orders)
-    return report, problem, dataset, x0
+    return run(oracle, x0, params, orders), problem, x0
 
 
 # ---------------------------------------------------------------------------
@@ -218,23 +220,12 @@ def execute(cfg: RunConfig) -> tuple[RunReport, Problem, Dataset | None, np.ndar
 
 
 def record_to_json(rec) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "k": rec.k,
-        "sigma": rec.sigma,
-        "omega": rec.omega,
-        "rho": rec.rho,
-        "step_norm": rec.step_norm,
-        "success": rec.success,
-        "eps": rec.eps,
-        "shrinks": rec.shrinks,
-        "flags": [[stage, flag] for stage, flag in rec.flags],
-        "fun_evals": rec.fun_evals,
-        "deriv_evals": {str(j): c for j, c in rec.deriv_evals},
-        "component_evals": rec.component_evals,
-        "extras": rec.extras,
-        "x_inf": rec.x_inf,
-    }
+    """One trace line: every ``IterRecord`` field, with ``deriv_evals``
+    keyed by order digits, and the schema version."""
+    line = {f.name: getattr(rec, f.name) for f in fields(rec)}
+    line["deriv_evals"] = {str(j): c for j, c in rec.deriv_evals}
+    line["schema_version"] = SCHEMA_VERSION
+    return line
 
 
 def write_trace(path: Path, trace) -> None:
@@ -249,6 +240,19 @@ def write_summary(path: Path, summary: dict) -> None:
         fh.write("\n")
 
 
+def write_table(path: Path, rows: list[dict], violations: list[str], kind: str) -> int:
+    """Write ``rows`` as CSV, print each violation as ``<KIND> VIOLATION``
+    and the path written; the exit code."""
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+        writer.writeheader()
+        writer.writerows(rows)
+    for v in violations:
+        print(f"{kind} VIOLATION: {v}", file=sys.stderr)
+    print(f"wrote {path}")
+    return EXIT_VIOLATION if violations else EXIT_OK
+
+
 def run_budget(report: RunReport, problem: Problem, x0: np.ndarray) -> ComplexityBudget | None:
     """Worst-case budget of the run, or None when the problem has no order-p
     Hölder constant or no lower bound, or when the budget is beyond the
@@ -260,6 +264,16 @@ def run_budget(report: RunReport, problem: Problem, x0: np.ndarray) -> Complexit
         return complexity_budget(L, float(problem.value(x0)), problem.f_low, report.params, report.orders)
     except ArithmeticError:
         return None
+
+
+def _totals(trace, counters) -> dict:
+    """The counts of a finished or aborted run: complete iterations and evaluations."""
+    return {
+        "iterations": sum(1 for r in trace if r.rho is not None),
+        "fun_evals": counters.fun_evals,
+        "deriv_evals": {str(j): c for j, c in sorted(counters.deriv_evals.items())},
+        "component_evals": counters.component_evals,
+    }
 
 
 def summarize(report: RunReport, problem: Problem, x0: np.ndarray) -> dict:
@@ -276,12 +290,9 @@ def summarize(report: RunReport, problem: Problem, x0: np.ndarray) -> dict:
         "phi_at_exit": report.status.phi,
         "x_final": [float(v) for v in report.x_final],
         "totals": {
-            "iterations": report.n_complete,
+            **_totals(report.trace, report.counters),
             "successful": report.n_successful,
             "shrinks": report.total_shrinks,
-            "fun_evals": report.counters.fun_evals,
-            "deriv_evals": {str(j): c for j, c in sorted(report.counters.deriv_evals.items())},
-            "component_evals": report.counters.component_evals,
             "sigma_max_observed": report.sigma_max_observed,
         },
         "budget": budget,
@@ -296,40 +307,35 @@ def summarize(report: RunReport, problem: Problem, x0: np.ndarray) -> dict:
 
 def aborted_summary(exc: RunAborted) -> dict:
     """Summary of a run that raised: the reason and the counts so far."""
-    counters = exc.counters
     return {
         "schema_version": SCHEMA_VERSION,
         "status": "aborted",
         "reason": str(exc),
-        "totals": {
-            "iterations": sum(1 for r in exc.trace if r.rho is not None),
-            "fun_evals": counters.fun_evals,
-            "deriv_evals": {str(j): c for j, c in sorted(counters.deriv_evals.items())},
-            "component_evals": counters.component_evals,
-        },
+        "totals": _totals(exc.trace, exc.counters),
     }
 
 
 def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
+    """Run once; write the trace and the summary of either outcome, then report it."""
     try:
-        report, problem, _, x0 = execute(cfg)
+        report, problem, x0 = execute(cfg)
     except RunAborted as exc:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_trace(out_dir / "trace.jsonl", exc.trace)
-        write_summary(out_dir / "summary.json", aborted_summary(exc))
-        print(f"{cfg.problem['name']}: status=aborted: {exc}", file=sys.stderr)
-        return EXIT_ABORTED
+        trace, summary, code = exc.trace, aborted_summary(exc), EXIT_ABORTED
+        line, stream = f"{cfg.problem['name']}: status=aborted: {exc}", sys.stderr
+    else:
+        trace, summary = report.trace, summarize(report, problem, x0)
+        code = EXIT_BUDGET if report.status.kind is TerminationKind.BUDGET else EXIT_OK
+        totals = summary["totals"]
+        line = (
+            f"{problem.name}: status={summary['status']} iterations={totals['iterations']} "
+            f"successful={totals['successful']} fun_evals={totals['fun_evals']}"
+        )
+        stream = sys.stdout
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_trace(out_dir / "trace.jsonl", report.trace)
-    summary = summarize(report, problem, x0)
+    write_trace(out_dir / "trace.jsonl", trace)
     write_summary(out_dir / "summary.json", summary)
-    print(
-        f"{problem.name}: status={summary['status']} iterations={summary['totals']['iterations']} "
-        f"successful={summary['totals']['successful']} fun_evals={summary['totals']['fun_evals']}"
-    )
-    if report.status.kind is TerminationKind.BUDGET:
-        return EXIT_BUDGET
-    return EXIT_OK
+    print(line, file=stream)
+    return code
 
 
 def parse_eps_grid(text: str) -> list[float]:
@@ -354,7 +360,7 @@ def cmd_scaling(cfg: RunConfig, eps_grid: list[float], out_dir: Path) -> int:
         sub.algo["eps"] = eps
         sub.seed = cfg.seed + 1_000_003 * i
         try:
-            report, problem, _, x0 = execute(sub)
+            report, problem, x0 = execute(sub)
         except RunAborted as exc:
             print(f"eps={eps:g}: status=aborted: {exc}", file=sys.stderr)
             return EXIT_ABORTED
@@ -372,21 +378,13 @@ def cmd_scaling(cfg: RunConfig, eps_grid: list[float], out_dir: Path) -> int:
                 "theorem_bound_total": budget.max_total if budget else "",
             }
         )
-    path = out_dir / "scaling.csv"
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
     pts = [(math.log(r["eps"]), math.log(max(1, r["successful_iters"]))) for r in rows]
     if len(pts) >= 2:
         xs = np.array([p[0] for p in pts])
         ys = np.array([p[1] for p in pts])
         slope = float(np.polyfit(xs, ys, 1)[0])
         print(f"log-log slope of successful iterations vs eps: {slope:.3f} (informational)")
-    for v in violations:
-        print(f"BOUND VIOLATION: {v}", file=sys.stderr)
-    print(f"wrote {path}")
-    return EXIT_VIOLATION if violations else EXIT_OK
+    return write_table(out_dir / "scaling.csv", rows, violations, "BOUND")
 
 
 def cmd_sample_check(cfg: RunConfig, trials: int, eps_fracs: list[float], out_dir: Path) -> int:
@@ -426,15 +424,7 @@ def cmd_sample_check(cfg: RunConfig, trials: int, eps_fracs: list[float], out_di
                     "ok": ok,
                 }
             )
-    path = out_dir / "sample_check.csv"
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-    for v in violations:
-        print(f"SAMPLE-SIZE VIOLATION: {v}", file=sys.stderr)
-    print(f"wrote {path}")
-    return EXIT_VIOLATION if violations else EXIT_OK
+    return write_table(out_dir / "sample_check.csv", rows, violations, "SAMPLE-SIZE")
 
 
 # ---------------------------------------------------------------------------

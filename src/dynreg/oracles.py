@@ -125,7 +125,7 @@ def sampling_failures(dataset: Dataset, x: np.ndarray, j: int, eps_j: float, t: 
     return m, failures
 
 
-def subsampled_eval(dataset: Dataset, x: np.ndarray, j: int, m: int, rng, counters: EvalCounters | None = None):
+def subsampled_eval(dataset: Dataset, x: np.ndarray, j: int, m: int, rng):
     """Mean of order-j component derivatives over m uniform draws.
 
     Sampling is with replacement; m = N switches to the exact full sum with
@@ -141,8 +141,6 @@ def subsampled_eval(dataset: Dataset, x: np.ndarray, j: int, m: int, rng, counte
         idx = _kernels.full_index(N)
     else:
         idx = rng.integers(0, N, size=m, dtype=np.int64)
-    if counters is not None:
-        counters.component_evals += m
     x = np.ascontiguousarray(x, dtype=float)
     if j == 0:
         return _kernels.value_sum(dataset.features, dataset.labels, x, idx) / m
@@ -344,7 +342,8 @@ class SubsampledOracle(Oracle):
         m = sample_size(ds.kappa_bounds[j], eps, self.t, _dimension_factor(j, ds.dim), ds.size)
         self._iter_sizes[j] = min(m, self._iter_sizes.get(j, m))
         promise = eps if m < ds.size else 0.0
-        return subsampled_eval(ds, x, j, m, self.rng, self.counters), promise
+        self.counters.component_evals += m
+        return subsampled_eval(ds, x, j, m, self.rng), promise
 
     def end_iteration(self) -> dict:
         sizes, self._iter_sizes = self._iter_sizes, {}

@@ -136,6 +136,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="must lie in"):
             RunConfig.from_dict({"oracle": oracle})
 
+    @pytest.mark.parametrize("kind", ["exact", "noisy", "subsampled"])
+    @pytest.mark.parametrize("noise_fraction", [-0.1, 1.5])
+    def test_noise_fraction_range(self, kind, noise_fraction):
+        # 0 <= noise_fraction <= 1 is checked at config load for every
+        # oracle kind, before the problem is built
+        with pytest.raises(ConfigError, match=r"noise_fraction must lie in \[0, 1\]"):
+            RunConfig.from_dict({"oracle": {"kind": kind, "noise_fraction": noise_fraction}})
+
     def test_eps_grid_parsing(self):
         grid = parse_eps_grid("1e-1:1e-3:3")
         assert grid == pytest.approx([1e-1, 1e-2, 1e-3])
@@ -182,6 +190,32 @@ class TestSolve:
             "x_inf",
         }
 
+    def test_summary_schema_fields(self, tmp_path):
+        cfg = write_config(tmp_path, HAND_TRACE)
+        out = tmp_path / "out"
+        main(["solve", "--config", str(cfg), "--out", str(out)])
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary) == {
+            "schema_version",
+            "status",
+            "k_final",
+            "delta_at_exit",
+            "phi_at_exit",
+            "x_final",
+            "totals",
+            "budget",
+            "bounds_ok",
+        }
+        assert set(summary["totals"]) == {
+            "iterations",
+            "successful",
+            "shrinks",
+            "fun_evals",
+            "deriv_evals",
+            "component_evals",
+            "sigma_max_observed",
+        }
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg_payload = {
             "problem": {"name": "quadratic", "diag": [1.0, 2.0]},
@@ -225,6 +259,8 @@ class TestSolve:
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_ABORTED
         assert EXIT_ABORTED not in (EXIT_OK, EXIT_VIOLATION, EXIT_CONFIG, EXIT_BUDGET)
         summary = json.loads((out / "summary.json").read_text())
+        assert set(summary) == {"schema_version", "status", "reason", "totals"}
+        assert set(summary["totals"]) == {"iterations", "fun_evals", "deriv_evals", "component_evals"}
         assert summary["status"] == "aborted"
         assert "non-finite" in summary["reason"]
         assert summary["totals"]["deriv_evals"] == {"1": 1}
@@ -385,6 +421,16 @@ class TestDatasetFile:
             assert main([command, *route, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
             assert "dataset path" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_synthetic_x0_length_checked_before_the_dataset(self, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the dataset was built before x0 was checked")
+
+        monkeypatch.setattr(cli, "make_synthetic_dataset", unreachable)
+        payload = {"problem": {"name": "sigmoid-synthetic", "N": 500_000, "x0": [0.0, 0.0]}}
+        cfg = write_config(tmp_path, payload)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "x0 must have dimension 20" in capsys.readouterr().err
 
     def test_missing_dataset_file(self, tmp_path):
         payload = {"problem": {"name": "sigmoid-file", "path": str(tmp_path / "nope.csv")}}

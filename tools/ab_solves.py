@@ -30,12 +30,12 @@ interleaved run.  Uses one BLAS thread, like the benchmark.
 
 Per-process state (where each side's arrays and code land) can move one
 side by a few percent for the life of an interpreter, whichever side that
-is.  ``--repeats R`` therefore runs R repeats, each in a fresh interpreter,
-loading the base side first in even repeats and the change side first in
-odd ones (``--load-first`` sets it for a single run).  It prints every
-repeat's output, then one line per repeat with its median per-solve ratio,
-its p50 ratio and its ratio of the sums of medians, then the medians of
-each over the repeats.  A difference that keeps its sign across repeats
+is.  ``--repeats R`` therefore runs R repeats one after another, each in a
+freshly spawned interpreter, loading the base side first in even repeats
+and the change side first in odd ones (a single run loads the base side
+first).  It prints every repeat's output, then one line per repeat with
+its median per-solve ratio, its p50 ratio and its ratio of the sums of
+medians, then the medians of each over the repeats.  A difference that keeps its sign across repeats
 and load orders is the code's; one that follows the load order is the
 process's.
 """
@@ -50,9 +50,8 @@ import hashlib
 import importlib
 import importlib.util
 import json
-import re
+import multiprocessing
 import statistics
-import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -124,50 +123,13 @@ class Side:
         return h.hexdigest()
 
 
-RATIO_LINE = re.compile(r"median per-solve ratio change/base: ([0-9.]+)")
-SIDE_LINE = re.compile(r"^\s*(base|change): p50 ([0-9.]+) ms   sum of medians ([0-9.]+) s", re.MULTILINE)
-
-
-def repeats(args) -> int:
-    """Run ``args.repeats`` fresh interpreters, alternating the load order, and summarize their ratios."""
-    rows = []
-    for k in range(args.repeats):
-        first = ("base", "change")[k % 2]
-        cmd = [sys.executable, str(Path(__file__).resolve()), "--base", str(args.base), "--change", str(args.change)]
-        cmd += ["--workload", args.workload, "--seed", str(args.seed), "--rounds", str(args.rounds)]
-        out = subprocess.run(cmd + ["--load-first", first], check=True, capture_output=True, text=True).stdout
-        print(f"--- repeat {k} ({first} loaded first)\n{out}", end="", flush=True)
-        side = {name: (float(p50), float(total)) for name, p50, total in SIDE_LINE.findall(out)}
-        ratio = float(RATIO_LINE.search(out).group(1))
-        rows.append((ratio, side["change"][0] / side["base"][0], side["change"][1] / side["base"][1]))
-    print("--- per repeat, change/base: median per-solve ratio, p50 ratio, sum-of-medians ratio")
-    for k, row in enumerate(rows):
-        print(f"repeat {k} ({('base', 'change')[k % 2]} first): " + "  ".join(f"{r:.4f}" for r in row))
-    print("median over repeats: " + "  ".join(f"{statistics.median(col):.4f}" for col in zip(*rows)))
-    return 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--base", type=Path, required=True, help="root of the base checkout")
-    parser.add_argument("--change", type=Path, default=ROOT, help="root of the changed checkout (default: this one)")
-    parser.add_argument("--workload", choices=sorted(WORKLOADS), default="many-small")
-    parser.add_argument("--seed", type=int, default=0, help="workload seed")
-    parser.add_argument("--rounds", type=int, default=8, help="timed rounds after one warm-up round")
-    parser.add_argument("--repeats", type=int, default=1, help="repeats, each in a fresh interpreter")
-    parser.add_argument("--load-first", choices=("base", "change"), default="base", help="side imported first")
-    args = parser.parse_args(argv)
-    if args.rounds < 1:
-        parser.error("--rounds must be at least 1")
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
-    if args.repeats > 1:
-        return repeats(args)
-
+def compare(args, first: str) -> tuple[str, tuple[float, float, float]]:
+    """One interleaved comparison with side ``first`` imported first: its
+    report and its change/base ratios (median per-solve, p50, sum of medians)."""
     raws = WORKLOADS[args.workload](args.seed)
     names = ["base", "change"]
     roots = {"base": args.base, "change": args.change}
-    load_order = names if args.load_first == "base" else names[::-1]
+    load_order = names if first == "base" else names[::-1]
     sides = {name: Side(roots[name], f"dynreg_{name}", raws) for name in load_order}
     times = {name: [[] for _ in raws] for name in names}
     differ = count_differ = 0
@@ -190,16 +152,53 @@ def main(argv=None) -> int:
                     times[name][i].append(out[name][1])
 
     medians = {name: [statistics.median(ts) for ts in times[name]] for name in names}
-    print(f"workload {args.workload}  seed {args.seed}  solves {len(raws)}  rounds {args.rounds}")
-    for name in names:
-        med = medians[name]
-        print(f"{name:>6}: p50 {1e3 * statistics.median(med):.3f} ms   sum of medians {sum(med):.4f} s")
+    p50 = {name: statistics.median(medians[name]) for name in names}
+    total = {name: sum(medians[name]) for name in names}
     ratio = statistics.median(c / b for b, c in zip(medians["base"], medians["change"]))
-    print(f"median per-solve ratio change/base: {ratio:.4f}")
-    print(f"solves with differing traces: {differ} of {len(raws)}")
-    print(f"solves with differing counts: {count_differ} of {len(raws)}")
-    for name in names:
-        print(f"{name:>6}: " + "  ".join(f"{key} {value}" for key, value in totals[name].items()))
+    lines = [f"workload {args.workload}  seed {args.seed}  solves {len(raws)}  rounds {args.rounds}"]
+    lines += [f"{name:>6}: p50 {1e3 * p50[name]:.3f} ms   sum of medians {total[name]:.4f} s" for name in names]
+    lines.append(f"median per-solve ratio change/base: {ratio:.4f}")
+    lines.append(f"solves with differing traces: {differ} of {len(raws)}")
+    lines.append(f"solves with differing counts: {count_differ} of {len(raws)}")
+    lines += [f"{name:>6}: " + "  ".join(f"{key} {value}" for key, value in totals[name].items()) for name in names]
+    report = "".join(line + "\n" for line in lines)
+    return report, (ratio, p50["change"] / p50["base"], total["change"] / total["base"])
+
+
+def repeats(args) -> int:
+    """Run ``args.repeats`` comparisons, each in a spawned interpreter with
+    the load order alternating, and summarize their ratios."""
+    rows = []
+    spawn = multiprocessing.get_context("spawn")
+    for k in range(args.repeats):
+        first = ("base", "change")[k % 2]
+        with spawn.Pool(1) as pool:
+            out, row = pool.apply(compare, (args, first))
+        print(f"--- repeat {k} ({first} loaded first)\n{out}", end="", flush=True)
+        rows.append(row)
+    print("--- per repeat, change/base: median per-solve ratio, p50 ratio, sum-of-medians ratio")
+    for k, row in enumerate(rows):
+        print(f"repeat {k} ({('base', 'change')[k % 2]} first): " + "  ".join(f"{r:.4f}" for r in row))
+    print("median over repeats: " + "  ".join(f"{statistics.median(col):.4f}" for col in zip(*rows)))
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--base", type=Path, required=True, help="root of the base checkout")
+    parser.add_argument("--change", type=Path, default=ROOT, help="root of the changed checkout (default: this one)")
+    parser.add_argument("--workload", choices=sorted(WORKLOADS), default="many-small")
+    parser.add_argument("--seed", type=int, default=0, help="workload seed")
+    parser.add_argument("--rounds", type=int, default=8, help="timed rounds after one warm-up round")
+    parser.add_argument("--repeats", type=int, default=1, help="repeats, each in a fresh interpreter")
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    if args.repeats > 1:
+        return repeats(args)
+    print(compare(args, "base")[0], end="")
     return 0
 
 
