@@ -339,13 +339,13 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def parse_eps_grid(text: str) -> list[float]:
-    """LO:HI:POINTS, log-spaced and emitted from LO to HI."""
+    """LO:HI:POINTS, log-spaced and emitted from LO to HI; both endpoints lie in (0, 1) like eps."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError("eps grid must be LO:HI:POINTS")
     lo, hi, points = float(parts[0]), float(parts[1]), int(parts[2])
-    if points < 1 or lo <= 0.0 or hi <= 0.0:
-        raise ConfigError("eps grid needs positive endpoints and at least one point")
+    if points < 1 or not (0.0 < lo < 1.0 and 0.0 < hi < 1.0):
+        raise ConfigError("eps grid needs endpoints in (0, 1) and at least one point")
     if points == 1:
         return [lo]
     return [float(v) for v in np.geomspace(lo, hi, points)]
@@ -390,8 +390,9 @@ def cmd_scaling(cfg: RunConfig, eps_grid: list[float], out_dir: Path) -> int:
 def cmd_sample_check(cfg: RunConfig, trials: int, eps_fracs: list[float], out_dir: Path) -> int:
     if trials < 1:
         raise ConfigError("--trials must be at least 1")
-    if not eps_fracs or not all(0.0 < frac < math.inf for frac in eps_fracs):
-        raise ConfigError("--eps-frac needs positive finite fractions")
+    # 1e9 * frac keys each fraction's rng, so it has to be finite too
+    if not eps_fracs or not all(0.0 < frac and 1e9 * frac < math.inf for frac in eps_fracs):
+        raise ConfigError("--eps-frac needs positive fractions with 1e9 * fraction finite")
     _, dataset, x0 = build_problem(cfg)
     if dataset is None:
         raise ConfigError("sample-check requires a sigmoid dataset problem")

@@ -342,7 +342,7 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
                     deriv_evals=((1, now[1] - base[1]), (2, now[2] - base[2])),
                     component_evals=now[3] - base[3],
                     extras=extras,
-                    x_inf=float(np.abs(x).max()) if x.size else 0.0,
+                    x_inf=max(map(abs, x.tolist()), default=0.0),
                 )
             )
             if status is not None:

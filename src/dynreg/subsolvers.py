@@ -127,7 +127,8 @@ class _Spectrum:
 
     ``g_key`` and ``H_key`` are the bytes of the inputs (the memo key); the
     arrays are read-only and no field is ever rebound, since warm calls
-    share the setup.
+    share the setup.  ``neg_gh_list`` and ``shifted_list`` hold the entries
+    of ``neg_gh`` and ``shifted`` as floats for the secular iteration.
     """
 
     g_key: bytes
@@ -136,9 +137,11 @@ class _Spectrum:
     Q: np.ndarray
     gh: np.ndarray
     neg_gh: np.ndarray
+    neg_gh_list: list[float]
     gn: float
     lam_low: float
     shifted: np.ndarray
+    shifted_list: list[float]
     leftmost_free: bool
     dh: np.ndarray
     nd: float
@@ -192,9 +195,11 @@ def _spectrum(g, H) -> _Spectrum:
         Q=Q,
         gh=gh,
         neg_gh=neg_gh,
+        neg_gh_list=neg_gh.tolist(),
         gn=gn,
         lam_low=lam_low,
         shifted=shifted,
+        shifted_list=shifted.tolist(),
         leftmost_free=leftmost_free,
         dh=dh,
         nd=math.sqrt(float(dh.dot(dh))),
@@ -217,6 +222,11 @@ def _eig_min(g, H, a: float, b: float) -> ModelSolution:
     the leftmost eigenspace and ||d(lam_low)|| short of the target) the step
     is completed along the leftmost eigenvector.  ``value`` is the
     quadratic part only.  The spectral setup comes from ``_spectrum``.
+
+    The Newton iteration runs on Python floats over the setup's lists, one
+    pass per step for ||d||^2 and psi': at the n <= 20 of most solves a
+    numpy call costs more than its arithmetic, and a step would take six.
+    The arrays ``denom`` and ``dh`` are built once, at the final tau.
     """
     sp = _spectrum(g, H)
     gh, shifted, dh, nd = sp.gh, sp.shifted, sp.dh, sp.nd
@@ -232,30 +242,44 @@ def _eig_min(g, H, a: float, b: float) -> ModelSolution:
             dh[0] += math.sqrt(a0 * a0 - nd * nd)
             hard_case = True
     else:
-        neg_gh, gn = sp.neg_gh, sp.gn
+        neg_ghs, shifts, gn = sp.neg_gh_list, sp.shifted_list, sp.gn
         lo = 0.0
         hi = 2.0 * gn / (a0 + math.sqrt(a0 * a0 + 4.0 * b * gn))
         tau = 0.5 * hi
-        for iters in range(1, SECULAR_MAX_ITER + 1):
-            denom = shifted + tau
-            dh = neg_gh / denom
-            n2 = float(dh.dot(dh))
-            n = math.sqrt(n2)
-            target = a0 + b * tau
-            if abs(n - target) <= SECULAR_RTOL * target or (hi - lo) <= 1e-15 * tau:
-                break
-            if n > target:
-                lo = tau
+        try:
+            for iters in range(1, SECULAR_MAX_ITER + 1):
+                # ||d||^2 and sum(gh^2/(w + lam)^3) in one pass
+                n2 = s3 = 0.0
+                for c, s in zip(neg_ghs, shifts):
+                    e = s + tau
+                    t = c / e
+                    t *= t
+                    n2 += t
+                    s3 += t / e
+                n = math.sqrt(n2)
+                target = a0 + b * tau
+                if abs(n - target) <= SECULAR_RTOL * target or (hi - lo) <= 1e-15 * tau:
+                    break
+                if n > target:
+                    lo = tau
+                else:
+                    hi = tau
+                # psi' = b/n + (a + b lam) sum(gh^2/(w + lam)^3) / n^3
+                dpsi = b / n + target * s3 / (n2 * n)
+                cand = tau - (target / n - 1.0) / dpsi
+                tau = cand if lo < cand < hi else 0.5 * (lo + hi)
             else:
-                hi = tau
-            # psi' = b/n + (a + b lam) sum(gh^2/(w + lam)^3) / n^3
-            dpsi = b / n + target * float(np.add.reduce(dh * dh / denom)) / (n2 * n)
-            cand = tau - (target / n - 1.0) / dpsi
-            tau = cand if lo < cand < hi else 0.5 * (lo + hi)
-        else:
+                raise SubsolverError(
+                    "secular iteration exceeded its cap",
+                    {"a": a, "b": b, "lam_low": sp.lam_low, "bracket": (lo, hi)},
+                )
+        except ZeroDivisionError:
+            # tau or ||d|| underflowed to zero: no finite step to return
             raise SubsolverError(
-                "secular iteration exceeded its cap", {"a": a, "b": b, "lam_low": sp.lam_low, "bracket": (lo, hi)}
-            )
+                "secular iteration reached a zero shift or step", {"a": a, "b": b, "lam_low": sp.lam_low}
+            ) from None
+        denom = shifted + tau
+        dh = sp.neg_gh / denom
 
     return ModelSolution(
         d=sp.Q @ dh, lam=sp.lam_low + tau, hard_case=hard_case, iterations=iters, w=sp.w, gh=gh, dh=dh, denom=denom

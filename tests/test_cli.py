@@ -147,8 +147,10 @@ class TestConfig:
     def test_eps_grid_parsing(self):
         grid = parse_eps_grid("1e-1:1e-3:3")
         assert grid == pytest.approx([1e-1, 1e-2, 1e-3])
-        with pytest.raises(ConfigError):
-            parse_eps_grid("1e-1:1e-3")
+        # eps must lie in (0, 1), so the grid's endpoints must too
+        for text in ("1e-1:1e-3", "1e-3:2:3", "1:1e-3:3"):
+            with pytest.raises(ConfigError):
+                parse_eps_grid(text)
 
 
 class TestSolve:
@@ -516,8 +518,10 @@ class TestSampleCheck:
 
     def test_nonpositive_fraction_rejected(self, tmp_path):
         cfg = write_config(tmp_path, self.PAYLOAD)
-        args = ["sample-check", "--config", str(cfg), "--eps-frac", "0", "--out", str(tmp_path / "o")]
-        assert main(args) == EXIT_CONFIG
+        # 1e300 is finite, but 1e9 * 1e300, the fraction's rng key, is not
+        for frac in ("0", "1e300"):
+            args = ["sample-check", "--config", str(cfg), "--eps-frac", frac, "--out", str(tmp_path / "o")]
+            assert main(args) == EXIT_CONFIG
 
 
 # one small valid config per problem; the fuzz overrides some of its scalars

@@ -155,14 +155,15 @@ class TestCubic:
 
 
 @st.composite
-def adversarial_models(draw):
+def adversarial_models(draw, max_n=8):
     """(g, H, scale) with a repeated or clustered leftmost eigenvalue.
 
     The gradient is generic, exactly orthogonal to the leftmost eigenspace
     (up to rounding) or orthogonal but for a 1e-10 relative component; the
-    spectrum and the gradient share one scale between 1e-8 and 1e8.
+    spectrum and the gradient share one scale between 1e-8 and 1e8; n runs
+    from 2 to ``max_n``.
     """
-    n = draw(st.integers(2, 8))
+    n = draw(st.integers(2, max_n))
     k = draw(st.integers(1, n - 1))
     scale = 10.0 ** draw(st.integers(-8, 8))
     cluster = draw(st.sampled_from([0.0, 1e-14, 1e-10, 1e-6]))
@@ -250,6 +251,49 @@ class TestOnDemandDiagnostics:
         dh[~critical] = sp.neg_gh[~critical] / sp.shifted[~critical]
         assert sp.dh.tobytes() == dh.tobytes()
         assert sp.leftmost_free == bool(np.abs(sp.gh[critical]).max(initial=0.0) <= 1e-12 * sp.gn)
+
+
+def array_secular(g, H, a, b):
+    """(lam, hard_case) of the secular solve as it ran on numpy arrays,
+    with one array per Newton step, on the spectral setup of (g, H)."""
+    sp = subsolvers._spectrum(g, H)
+    a0 = a + b * sp.lam_low
+    if sp.leftmost_free and sp.nd <= a0:
+        return sp.lam_low, sp.lam_low > 0.0
+    lo, hi = 0.0, 2.0 * sp.gn / (a0 + math.sqrt(a0 * a0 + 4.0 * b * sp.gn))
+    tau = 0.5 * hi
+    for _ in range(subsolvers.SECULAR_MAX_ITER):
+        denom = sp.shifted + tau
+        dh = sp.neg_gh / denom
+        n2 = float(dh.dot(dh))
+        n = math.sqrt(n2)
+        target = a0 + b * tau
+        if abs(n - target) <= subsolvers.SECULAR_RTOL * target or (hi - lo) <= 1e-15 * tau:
+            return sp.lam_low + tau, False
+        if n > target:
+            lo = tau
+        else:
+            hi = tau
+        dpsi = b / n + target * float(np.add.reduce(dh * dh / denom)) / (n2 * n)
+        cand = tau - (target / n - 1.0) / dpsi
+        tau = cand if lo < cand < hi else 0.5 * (lo + hi)
+    raise AssertionError("the array iteration exceeded its cap")
+
+
+class TestFloatSecularLoop:
+    """The Newton iteration on floats sums in another order than numpy, and
+    nothing else: its multiplier agrees with the array loop's to rounding."""
+
+    @PROPERTY
+    @given(model=adversarial_models(max_n=24), radius=LOG_UNIFORM)
+    def test_multiplier_matches_the_array_loop(self, model, radius):
+        g, H, scale = model
+        size = float(np.linalg.norm(H, 2))
+        sigma = radius * scale
+        for sol, a, b in ((trust_region_min(g, H, radius), radius, 0.0), (cubic_min(g, H, sigma), 0.0, 2.0 / sigma)):
+            lam, hard_case = array_secular(g, H, a, b)
+            assert sol.hard_case == hard_case
+            assert abs(sol.lam - lam) <= 1e-11 * max(lam, size)
 
 
 @st.composite
@@ -371,6 +415,13 @@ class TestNonFiniteData:
         # ||g||^2 overflows; no value or multiplier may be built on it
         with pytest.raises(SubsolverError):
             solver(np.array([1e305]), np.array([[1e300]]), 1.0)
+
+    @pytest.mark.parametrize("solver", [trust_region_min, cubic_min])
+    def test_zero_shift_raises(self, solver):
+        # ||g||^2 underflows to zero, so the bracket is [0, 0] and the step
+        # at the zero shift divides by zero: no finite step exists to return
+        with pytest.raises(SubsolverError):
+            solver(np.array([5e-324, 0.0]), np.diag([-10.0, 1.0]), 1.0)
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("solver", [trust_region_min, cubic_min])

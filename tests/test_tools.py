@@ -18,6 +18,7 @@ def test_ab_solves_finds_no_trace_difference_against_itself():
     out = run_tool("tools/ab_solves.py", "--base", str(ROOT), "--workload", "finite-sum-hess", "--rounds", "1")
     assert "solves with differing traces: 0 of 6" in out
     assert "solves with differing counts: 0 of 6" in out
+    assert "  sigmoid-synthetic p=2 q=1 subsampled (3 solves): median per-solve ratio " in out
     base, change = (line.split(":", 1)[1] for line in out.splitlines()[-2:])
     assert base == change and "iterations" in base
 

@@ -16,7 +16,9 @@ not.
 
 The output gives, per side, the p50 over solves of each solve's median
 time (the benchmark's ``solve_ms_p50``) and the sum of those medians, then
-the median over solves of the per-solve ratio change/base, the number of
+the median over solves of the per-solve ratio change/base, the same median
+within each solve kind (problem name, p, q and oracle kind, so a gain shows
+which solves it comes from), the number of
 solves whose trace (``cli.record_to_json`` of every record) differs
 between the sides, and the number of solves whose counts differ: the exit
 kind, complete iterations, function evaluations, derivative evaluations
@@ -97,6 +99,12 @@ class Side:
             report = exc
         return report, perf_counter() - t0
 
+    @staticmethod
+    def kind(entry) -> str:
+        """The kind of one solve: problem name, p, q and oracle kind."""
+        cfg, _, orders = entry[:3]
+        return f"{cfg.problem['name']} p={orders.p} q={orders.q} {cfg.oracle.get('kind', 'exact')}"
+
     def exit_kind(self, report) -> str:
         """The status kind of one solve, or ``aborted`` for a ``RunAborted``."""
         return "aborted" if isinstance(report, self.driver.RunAborted) else report.status.kind.value
@@ -154,10 +162,17 @@ def compare(args, first: str) -> tuple[str, tuple[float, float, float]]:
     medians = {name: [statistics.median(ts) for ts in times[name]] for name in names}
     p50 = {name: statistics.median(medians[name]) for name in names}
     total = {name: sum(medians[name]) for name in names}
-    ratio = statistics.median(c / b for b, c in zip(medians["base"], medians["change"]))
+    ratios = [c / b for b, c in zip(medians["base"], medians["change"])]
+    ratio = statistics.median(ratios)
+    by_kind = {}
+    for r, entry in zip(ratios, sides["base"].entries):
+        by_kind.setdefault(Side.kind(entry), []).append(r)
     lines = [f"workload {args.workload}  seed {args.seed}  solves {len(raws)}  rounds {args.rounds}"]
     lines += [f"{name:>6}: p50 {1e3 * p50[name]:.3f} ms   sum of medians {total[name]:.4f} s" for name in names]
     lines.append(f"median per-solve ratio change/base: {ratio:.4f}")
+    lines += [
+        f"  {kind} ({len(rs)} solves): median per-solve ratio {statistics.median(rs):.4f}" for kind, rs in by_kind.items()
+    ]
     lines.append(f"solves with differing traces: {differ} of {len(raws)}")
     lines.append(f"solves with differing counts: {count_differ} of {len(raws)}")
     lines += [f"{name:>6}: " + "  ".join(f"{key} {value}" for key, value in totals[name].items()) for name in names]
