@@ -2,7 +2,8 @@
 sample-size validation.
 
 Configs are JSON with four sections (problem, orders, oracle, algo) plus a
-seed; unknown keys are rejected.  Outputs are line-delimited JSON traces,
+seed; ``CONFIG_SCHEMA`` gives each key's default and type, and unknown keys
+are rejected.  Outputs are line-delimited JSON traces,
 a JSON summary and CSV tables, all byte-reproducible for a fixed config
 and seed.
 """
@@ -44,27 +45,6 @@ EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 EXIT_ABORTED = 4
 
-_PROBLEM_KEYS = {
-    "quadratic": {"name", "diag", "x0"},
-    "quartic": {"name", "n", "box_radius", "x0"},
-    "rosenbrock": {"name", "x0"},
-    "sigmoid-synthetic": {"name", "N", "n", "data_seed", "x0"},
-    "sigmoid-file": {"name", "path", "x0"},
-}
-_ORDERS_KEYS = {"p", "q", "beta"}
-_ORACLE_KEYS = {"kind", "noise_fraction", "t_bar", "t"}
-_ALGO_KEYS = {f for f in AlgoParams.__dataclass_fields__}
-_TOP_KEYS = {"problem", "orders", "oracle", "algo", "seed"}
-# JSON types of the scalar values, by key; a bool is not a number here,
-# and a number must be finite
-_SCALAR_TYPES = {
-    **dict.fromkeys(_ALGO_KEYS - {"schedule"} | {"box_radius", "beta", "noise_fraction", "t_bar"}, (int, float)),
-    **dict.fromkeys(("seed", "n", "N", "data_seed", "p", "q", "max_iter"), int),
-    **dict.fromkeys(("kind", "schedule", "path"), str),
-    "t": (int, float, type(None)),
-}
-_TYPE_NAMES = {int: "an integer", str: "a string"}
-
 
 class ConfigError(ValueError):
     pass
@@ -75,13 +55,60 @@ def _finite_number(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, float)) and finite(value)
 
 
+# The config schema: each section's keys with their defaults, the problem
+# section's by problem name (every problem also takes a name and an x0).
+# A key's JSON type is its default's; a None default admits a number or
+# null, and a bare type is that type with no default.
+CONFIG_SCHEMA = {
+    "problem": {
+        "quadratic": {"diag": [1.0, 2.0]},
+        "quartic": {"n": 2, "box_radius": 3.0},
+        "rosenbrock": {},
+        "sigmoid-synthetic": {"N": 10_000, "n": 20, "data_seed": 1234},
+        "sigmoid-file": {"path": str},
+    },
+    "orders": {"p": 1, "q": 1, "beta": 1.0},
+    "oracle": {"kind": "exact", "noise_fraction": 0.9, "t_bar": 0.1, "t": None},
+    "algo": {f.name: f.default for f in fields(AlgoParams)},
+}
+# each JSON type's test and name; numbers are finite, and a bool is none
+_JSON_TYPES = {
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    float: (_finite_number, "a finite number"),
+    type(None): (lambda v: v is None or _finite_number(v), "a finite number or null"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    list: (lambda v: isinstance(v, list) and all(map(_finite_number, v)), "a list of finite numbers"),
+}
+# oracle kind -> its builder, called as build_oracle is
+_ORACLES = {
+    "exact": lambda cfg, problem, *_: ExactOracle(problem),
+    "noisy": lambda cfg, problem, *_: NoisyOracle(problem, cfg.get("oracle", "noise_fraction"), seed=cfg.seed),
+    "subsampled": lambda cfg, _, dataset, params, orders: SubsampledOracle(
+        dataset, _sampling_t(cfg, dataset, params.eps, orders), cfg.seed
+    ),
+}
+# the strings that must name one of a few things
+_CHOICES = {"name": list(CONFIG_SCHEMA["problem"]), "kind": list(_ORACLES), "schedule": [s.value for s in Schedule]}
+# override flag -> (section, None for the seed; key; help); it takes its key's type
+_FLAGS = {
+    "--eps": ("algo", "eps", "target accuracy override"),
+    "--seed": (None, "seed", "seed override"),
+    "--schedule": ("algo", "schedule", "accuracy schedule"),
+    "--oracle": ("oracle", "kind", "oracle kind"),
+    "--noise-fraction": ("oracle", "noise_fraction", "noisy-oracle error fraction"),
+    "--p": ("orders", "p", "model degree"),
+    "--q": ("orders", "q", "optimality order"),
+}
+
+
 @dataclass
 class RunConfig:
-    """Validated run description; round-trips exactly through JSON."""
+    """Validated run description; round-trips exactly through JSON.  A
+    section holds the keys given, and ``get`` supplies the defaults."""
 
     problem: dict = field(default_factory=lambda: {"name": "quadratic"})
-    orders: dict = field(default_factory=lambda: {"p": 1, "q": 1, "beta": 1.0})
-    oracle: dict = field(default_factory=lambda: {"kind": "exact"})
+    orders: dict = field(default_factory=dict)
+    oracle: dict = field(default_factory=dict)
     algo: dict = field(default_factory=dict)
     seed: int = 0
 
@@ -89,66 +116,65 @@ class RunConfig:
     def from_dict(cls, raw: dict) -> "RunConfig":
         if not isinstance(raw, dict):
             raise ConfigError(f"the config must be a JSON object, got {type(raw).__name__}")
-        unknown = set(raw) - _TOP_KEYS
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(seed=raw.get("seed", 0))
-        for section in ("problem", "orders", "oracle", "algo"):
-            value = raw.get(section, getattr(cfg, section))
-            if not isinstance(value, dict):
+        cfg = cls(**raw)
+        for section in CONFIG_SCHEMA:
+            if not isinstance(getattr(cfg, section), dict):
                 raise ConfigError(f"{section} must be a JSON object")
-            setattr(cfg, section, dict(value))
+            setattr(cfg, section, dict(getattr(cfg, section)))
         cfg.validate()
         return cfg
 
+    def schema(self, section: str) -> dict:
+        """The section's keys with their schema entries."""
+        if section == "problem":
+            return {"name": str, "x0": list, **CONFIG_SCHEMA["problem"][self.problem["name"]]}
+        return CONFIG_SCHEMA[section]
+
+    def get(self, section: str, key: str):
+        """A key's value, else its default, as the default's type; a key
+        with a None default keeps its value's."""
+        default = self.schema(section)[key]
+        value = getattr(self, section).get(key, default)
+        return value if default is None else type(default)(value)
+
     def validate(self) -> None:
         name = self.problem.get("name")
-        if not isinstance(name, str) or name not in _PROBLEM_KEYS:
-            raise ConfigError(f"unknown problem {name!r}; choose from {sorted(_PROBLEM_KEYS)}")
-        kind = self.oracle.get("kind", "exact")
-        if kind not in ("exact", "noisy", "subsampled"):
-            raise ConfigError(f"unknown oracle kind {kind!r}")
-        allowed = {"problem": _PROBLEM_KEYS[name], "orders": _ORDERS_KEYS, "oracle": _ORACLE_KEYS, "algo": _ALGO_KEYS}
-        items = [("seed", self.seed)]
-        for section, keys in allowed.items():
-            values = getattr(self, section)
-            unknown = set(values) - keys
+        if name not in _CHOICES["name"]:
+            raise ConfigError(f"unknown problem {name!r}; choose from {_CHOICES['name']}")
+        items = [("seed", self.seed, RunConfig.seed)]
+        for section in CONFIG_SCHEMA:
+            values, schema = getattr(self, section), self.schema(section)
+            unknown = set(values) - set(schema)
             if unknown:
                 raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
-            items += values.items()
+            items += [(key, value, schema[key]) for key, value in values.items()]
+        for key, value, spec in items:
+            json_type = spec if isinstance(spec, type) else type(spec)
+            test, type_name = next(entry for base, entry in _JSON_TYPES.items() if issubclass(json_type, base))
+            if not test(value):
+                raise ConfigError(f"{key} must be {type_name}, got {value!r}")
+            if key in _CHOICES and value not in _CHOICES[key]:
+                raise ConfigError(f"unknown {key} {value!r}; choose from {_CHOICES[key]}")
         if name == "sigmoid-file" and "path" not in self.problem:
             raise ConfigError("the sigmoid-file problem needs a dataset path")
-        for key, value in items:
-            kinds = _SCALAR_TYPES.get(key)
-            if kinds is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise ConfigError(f"{key} must be {_TYPE_NAMES.get(kinds, 'a number')}, got {value!r}")
-            if kinds is not int and isinstance(value, (int, float)) and not finite(value):
-                raise ConfigError(f"{key} must be finite, got {value!r}")
-        for key in ("x0", "diag"):
-            value = self.problem.get(key, [])
-            if not isinstance(value, list) or not all(map(_finite_number, value)):
-                raise ConfigError(f"{key} must be a list of finite numbers, got {value!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        t_bar, t = self.oracle.get("t_bar", 0.1), self.oracle.get("t")
+        t_bar, t = self.get("oracle", "t_bar"), self.get("oracle", "t")
         if not 0.0 < t_bar < 1.0:
             raise ConfigError(f"t_bar must lie in (0, 1), got {t_bar!r}")
         if t is not None and not 0.0 < t <= t_bar:
             raise ConfigError(f"t must lie in (0, t_bar], got {t!r}")
-        if not 0.0 <= self.oracle.get("noise_fraction", 0.9) <= 1.0:
+        if not 0.0 <= self.get("oracle", "noise_fraction") <= 1.0:
             raise ConfigError("noise_fraction must lie in [0, 1]")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     def build_orders(self) -> Orders:
-        return Orders(
-            p=int(self.orders.get("p", 1)),
-            q=int(self.orders.get("q", 1)),
-            beta=float(self.orders.get("beta", 1.0)),
-        )
+        return Orders(**{key: self.get("orders", key) for key in CONFIG_SCHEMA["orders"]})
 
     def build_params(self) -> AlgoParams:
         return AlgoParams(**self.algo)
@@ -159,28 +185,25 @@ def build_problem(cfg: RunConfig) -> tuple[Problem, Dataset | None, np.ndarray]:
     name = spec["name"]
     dataset = None
     if name == "quadratic":
-        diag = spec.get("diag", [1.0, 2.0])
-        problem = make_quadratic(np.asarray(diag, dtype=float))
+        problem = make_quadratic(np.asarray(cfg.get("problem", "diag"), dtype=float))
         x0 = np.ones(problem.n)
     elif name == "quartic":
-        problem = make_quartic(int(spec.get("n", 2)), float(spec.get("box_radius", 3.0)))
+        problem = make_quartic(cfg.get("problem", "n"), cfg.get("problem", "box_radius"))
         x0 = 0.9 * np.ones(problem.n)
     elif name == "rosenbrock":
         problem = make_rosenbrock()
         x0 = np.array([-1.2, 1.0])
     elif name == "sigmoid-synthetic":
-        n = int(spec.get("n", 20))
+        n = cfg.get("problem", "n")
         if "x0" in spec and len(spec["x0"]) != n:  # before the dataset is built
             raise ConfigError(f"x0 must have dimension {n}")
-        dataset = make_synthetic_dataset(int(spec.get("N", 10_000)), n, int(spec.get("data_seed", 1234)))
+        dataset = make_synthetic_dataset(cfg.get("problem", "N"), n, cfg.get("problem", "data_seed"))
         problem = make_sigmoid_problem(dataset)
         x0 = np.zeros(problem.n)
-    elif name == "sigmoid-file":
+    else:  # sigmoid-file
         dataset = load_dataset(spec["path"])
         problem = make_sigmoid_problem(dataset)
         x0 = np.zeros(problem.n)
-    else:  # pragma: no cover - validate() rejects this earlier
-        raise ConfigError(f"unknown problem {name!r}")
     if "x0" in spec:
         x0 = np.asarray(spec["x0"], dtype=float)
         if x0.shape != (problem.n,):
@@ -188,22 +211,17 @@ def build_problem(cfg: RunConfig) -> tuple[Problem, Dataset | None, np.ndarray]:
     return problem, dataset, x0
 
 
-def _sampling_t(cfg: RunConfig, eps: float, orders: Orders) -> float:
-    """The subsampled oracle's per-inequality failure probability: the
-    config's ``t``, else ``failure_probability`` of its ``t_bar``."""
-    t = cfg.oracle.get("t")
-    return failure_probability(eps, orders, cfg.oracle.get("t_bar", 0.1)) if t is None else t
+def _sampling_t(cfg: RunConfig, dataset: Dataset | None, eps: float, orders: Orders) -> float:
+    """The per-inequality failure probability of subsampling the dataset:
+    the config's ``t``, else ``failure_probability`` of its ``t_bar``."""
+    if dataset is None:
+        raise ConfigError("subsampling requires a sigmoid dataset problem")
+    t = cfg.get("oracle", "t")
+    return failure_probability(eps, orders, cfg.get("oracle", "t_bar")) if t is None else t
 
 
 def build_oracle(cfg: RunConfig, problem: Problem, dataset: Dataset | None, params: AlgoParams, orders: Orders):
-    kind = cfg.oracle.get("kind", "exact")
-    if kind == "exact":
-        return ExactOracle(problem)
-    if kind == "noisy":
-        return NoisyOracle(problem, float(cfg.oracle.get("noise_fraction", 0.9)), seed=cfg.seed)
-    if dataset is None:
-        raise ConfigError("subsampled oracle requires a sigmoid dataset problem")
-    return SubsampledOracle(dataset, _sampling_t(cfg, params.eps, orders), cfg.seed)
+    return _ORACLES[cfg.get("oracle", "kind")](cfg, problem, dataset, params, orders)
 
 
 def execute(cfg: RunConfig) -> tuple[RunReport, Problem, np.ndarray]:
@@ -393,10 +411,9 @@ def cmd_sample_check(cfg: RunConfig, trials: int, eps_fracs: list[float], out_di
     # 1e9 * frac keys each fraction's rng, so it has to be finite too
     if not eps_fracs or not all(0.0 < frac and 1e9 * frac < math.inf for frac in eps_fracs):
         raise ConfigError("--eps-frac needs positive fractions with 1e9 * fraction finite")
+    params, orders = cfg.build_params(), cfg.build_orders()  # before the dataset is built
     _, dataset, x0 = build_problem(cfg)
-    if dataset is None:
-        raise ConfigError("sample-check requires a sigmoid dataset problem")
-    t = _sampling_t(cfg, cfg.build_params().eps, cfg.build_orders())
+    t = _sampling_t(cfg, dataset, params.eps, orders)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -435,14 +452,11 @@ def cmd_sample_check(cfg: RunConfig, trials: int, eps_fracs: list[float], out_di
 
 def _add_common(sub):
     sub.add_argument("--config", type=Path, help="JSON config file")
-    sub.add_argument("--eps", type=float, help="target accuracy override")
-    sub.add_argument("--seed", type=int, help="seed override")
     sub.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    sub.add_argument("--schedule", choices=[s.value for s in Schedule], help="accuracy schedule")
-    sub.add_argument("--oracle", choices=["exact", "noisy", "subsampled"], help="oracle kind")
-    sub.add_argument("--noise-fraction", type=float, help="noisy-oracle error fraction")
-    sub.add_argument("--p", type=int, help="model degree")
-    sub.add_argument("--q", type=int, help="optimality order")
+    for flag, (section, key, text) in _FLAGS.items():
+        default = RunConfig.seed if section is None else CONFIG_SCHEMA[section][key]
+        accepts = {"choices": _CHOICES[key]} if key in _CHOICES else {"type": type(default)}
+        sub.add_argument(flag, help=text, **accepts)
     sub.add_argument("--problem", help="problem name override")
 
 
@@ -454,20 +468,10 @@ def _load_config(args) -> RunConfig:
     cfg = RunConfig.from_dict(raw)
     if args.problem is not None and args.problem != cfg.problem["name"]:
         cfg.problem = {"name": args.problem}  # another problem: the config's section does not apply
-    if args.eps is not None:
-        cfg.algo["eps"] = args.eps
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.schedule is not None:
-        cfg.algo["schedule"] = args.schedule
-    if args.oracle is not None:
-        cfg.oracle["kind"] = args.oracle
-    if getattr(args, "noise_fraction", None) is not None:
-        cfg.oracle["noise_fraction"] = args.noise_fraction
-    if args.p is not None:
-        cfg.orders["p"] = args.p
-    if args.q is not None:
-        cfg.orders["q"] = args.q
+    for flag, (section, key, _) in _FLAGS.items():
+        value = vars(args)[flag[2:].replace("-", "_")]  # argparse's name for it
+        if value is not None:
+            (vars(cfg) if section is None else getattr(cfg, section))[key] = value
     cfg.validate()
     return cfg
 

@@ -29,20 +29,6 @@ from .problems import Dataset, Problem
 from .taylor import DerivativeBundle, Orders
 from . import _kernels
 
-__all__ = [
-    "EvalCounters",
-    "ExactOracle",
-    "InvalidPromiseError",
-    "NoisyOracle",
-    "NonFiniteEvaluationError",
-    "Oracle",
-    "SubsampledOracle",
-    "failure_probability",
-    "sample_size",
-    "sampling_failures",
-    "subsampled_eval",
-]
-
 _CACHE_POINTS = 4
 
 

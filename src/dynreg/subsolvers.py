@@ -169,6 +169,8 @@ def _spectrum(g, H) -> _Spectrum:
     w, Q = np.linalg.eigh(0.5 * (H + H.T))
     gh = Q.T @ g
     gn = math.sqrt(float(gh.dot(gh)))
+    if gn == 0.0 and gh.any():  # the squares underflowed; hypot scales first
+        gn = math.hypot(*gh.tolist())
     if not math.isfinite(gn):
         raise SubsolverError("gradient norm is not finite", {"gradient_norm": gn})
     lam_low = max(0.0, -float(w[0]))

@@ -4,11 +4,12 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynreg import cli
+from dynreg import AlgoParams, Orders, cli, failure_probability
 from dynreg.cli import (
     EXIT_ABORTED,
     EXIT_BUDGET,
@@ -434,6 +435,17 @@ class TestDatasetFile:
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "x0 must have dimension 20" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--eps", "2"], ["--p", "3"]])
+    def test_sample_check_checks_algo_and_orders_before_the_dataset(self, tmp_path, capsys, monkeypatch, flags):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the dataset was built before algo and orders were checked")
+
+        monkeypatch.setattr(cli, "make_synthetic_dataset", unreachable)
+        args = ["sample-check", "--problem", "sigmoid-synthetic", *flags, "--out", str(tmp_path / "o")]
+        assert main(args) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o").exists()
+
     def test_missing_dataset_file(self, tmp_path):
         payload = {"problem": {"name": "sigmoid-file", "path": str(tmp_path / "nope.csv")}}
         cfg = write_config(tmp_path, payload)
@@ -524,6 +536,59 @@ class TestSampleCheck:
             assert main(args) == EXIT_CONFIG
 
 
+# the CLI's defaults written out, apart from its schema: each problem's
+# keys, then the orders and the oracle's
+DEFAULT_PROBLEMS = {
+    "quadratic": {"diag": [1, 2]},
+    "quartic": {"n": 2, "box_radius": 3},
+    "rosenbrock": {},
+    "sigmoid-synthetic": {"N": 10_000, "n": 20, "data_seed": 1234},
+    "sigmoid-file": {},
+}
+DEFAULT_ORDERS = {"p": 1, "q": 1, "beta": 1}
+DEFAULT_ORACLE = {"noise_fraction": 0.9, "t_bar": 0.1}
+
+
+def build_all(raw):
+    """The params, orders, problem fingerprint, x0 and oracle a config builds."""
+    cfg = RunConfig.from_dict(raw)
+    params, orders = cfg.build_params(), cfg.build_orders()
+    problem, dataset, x0 = cli.build_problem(cfg)
+    oracle = cli.build_oracle(cfg, problem, dataset, params, orders)
+    fingerprint = (problem.name, problem.n, problem.value(x0), problem.grad(x0).tolist())
+    fingerprint += (problem.lipschitz, problem.f_low)
+    return params, orders, fingerprint, x0, oracle
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("name", sorted(DEFAULT_PROBLEMS))
+    def test_name_only_builds_the_written_out_defaults(self, name, fuzz_dataset):
+        path = {"path": str(fuzz_dataset)} if name == "sigmoid-file" else {}
+        kinds = ["exact", "noisy"] + (["subsampled"] if name.startswith("sigmoid") else [])
+        for kind in kinds:
+            implicit = {"problem": {"name": name, **path}}
+            if kind != "exact":
+                implicit["oracle"] = {"kind": kind}
+            explicit = {
+                "problem": {"name": name, **path, **DEFAULT_PROBLEMS[name]},
+                "orders": DEFAULT_ORDERS,
+                "oracle": {"kind": kind, **DEFAULT_ORACLE},
+                "algo": {},
+            }
+            params, orders, fingerprint, x0, oracle = build_all(implicit)
+            e_params, e_orders, e_fingerprint, e_x0, e_oracle = build_all(explicit)
+            assert params == e_params == AlgoParams()
+            assert orders == e_orders == Orders(p=1, q=1, beta=1.0)
+            assert fingerprint == e_fingerprint
+            np.testing.assert_array_equal(x0, e_x0)
+            assert type(oracle) is type(e_oracle)
+            assert type(oracle).__name__ == f"{kind.capitalize()}Oracle"
+            if kind == "noisy":
+                assert oracle.noise_fraction == e_oracle.noise_fraction == 0.9
+            if kind == "subsampled":
+                assert oracle.t == e_oracle.t == failure_probability(params.eps, orders, 0.1)
+
+
 # one small valid config per problem; the fuzz overrides some of its scalars
 FUZZ_BASES = [
     {"problem": {"name": "quadratic", "diag": [1.0, 3.0]}, "orders": {"p": 1, "q": 1}, "oracle": {"kind": "exact"}},
@@ -563,10 +628,8 @@ SCALARS = st.one_of(BAD_NUMBERS, EXTREME, WRONG_TYPES)
 def fuzzed_configs(draw):
     raw = json.loads(json.dumps(draw(st.sampled_from(FUZZ_BASES))))
     raw.setdefault("algo", {})
-    slots = [("problem", key) for key in sorted(cli._PROBLEM_KEYS[raw["problem"]["name"]])]
-    slots += [("orders", key) for key in sorted(cli._ORDERS_KEYS)]
-    slots += [("oracle", key) for key in sorted(cli._ORACLE_KEYS)]
-    slots += [("algo", key) for key in sorted(cli._ALGO_KEYS)]
+    base = cli.RunConfig(**raw)
+    slots = [(section, key) for section in cli.CONFIG_SCHEMA for key in sorted(base.schema(section))]
     slots += [(None, "seed")]
     for section, key in draw(st.lists(st.sampled_from(slots), min_size=1, max_size=3, unique=True)):
         value = draw(SIZES if key in SIZE_KEYS else SCALARS)

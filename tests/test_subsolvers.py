@@ -423,6 +423,16 @@ class TestNonFiniteData:
         with pytest.raises(SubsolverError):
             solver(np.array([5e-324, 0.0]), np.diag([-10.0, 1.0]), 1.0)
 
+    @pytest.mark.parametrize("solver, radius, step", [(trust_region_min, 0.5, 0.5), (cubic_min, 0.5, 4.0)])
+    def test_underflowing_gradient_squares_solve(self, solver, radius, step):
+        # ||g||^2 underflows to zero while ||g|| does not; the norm is then
+        # taken scaled, so the boundary step exists: ||d|| = delta for the
+        # trust region and ||d|| = 2 lambda / sigma for the cubic model
+        sol = solver(np.array([1e-170, 1e-170]), np.diag([-1.0, 1.0]), radius)
+        assert sol.lam == 1.0
+        assert np.linalg.norm(sol.d) == pytest.approx(step, rel=1e-12)
+        assert sol.kkt_residual == 0.0
+
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("solver", [trust_region_min, cubic_min])
     def test_rejects_invalid_radius(self, solver, radius):
