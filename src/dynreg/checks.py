@@ -2,13 +2,20 @@
 
 Each predicate returns a list of human-readable violation strings, empty
 when the logged run satisfies the corresponding worst-case guarantee.
+``exit_violations`` is the exit audit: it rechecks, from the problem's
+exact derivatives, the bound the run's termination kind certifies.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .bounds import ComplexityBudget, shrink_budget, success_count_bound
-from .driver import RunReport
+from .driver import RunReport, TerminationKind
 from .params import Schedule
+from .problems import Problem
+from .subsolvers import OPTIMALITY_RADIUS, SubsolverError, trust_region_min
+from .taylor import chi
 
 
 def counting_violations(report: RunReport) -> list[str]:
@@ -69,3 +76,42 @@ def all_violations(report: RunReport, budget: ComplexityBudget | None = None) ->
         out += budget_violations(report, budget)
         out += shrink_violations(report, budget.omega_min)
     return out
+
+
+def _exact_measure(problem: Problem, x, order: int, r: float) -> float:
+    """phi_{f,order}(r) at x from the problem's exact derivatives, for any
+    radius r > 0; NaN when it cannot be computed (non-finite derivatives or
+    a failed subsolve)."""
+    g = problem.grad(x)
+    if order == 1:
+        return r * float(np.linalg.norm(g))
+    try:
+        return max(0.0, -trust_region_min(g, problem.hess(x), r).value)
+    except (SubsolverError, ValueError):
+        return np.nan
+
+
+def exit_violations(report: RunReport, problem: Problem) -> list[str]:
+    """The exit audit: the bound the run's exit certifies (derived in
+    ``TerminationKind``), rechecked at ``x_final`` from the problem's exact
+    derivatives, with no slack.
+
+    - ``optimal_measure`` and ``negligible_increment``:
+      phi_{f,q}(1) <= eps chi_q(1);
+    - ``strong_model_optimality``: phi_{f,p}(r) <= (1 + omega) eps chi_p(r) / 2,
+      with r = ``delta_at_exit`` and omega the last record's;
+    - ``zero_step`` and ``budget`` certify nothing, so nothing is checked.
+
+    A NaN or infinite ratio is a violation.
+    """
+    status, eps = report.status, report.params.eps
+    if status.kind in (TerminationKind.OPTIMAL_MEASURE, TerminationKind.NEGLIGIBLE_INCREMENT):
+        order, r, scale = report.orders.q, OPTIMALITY_RADIUS, 1.0
+    elif status.kind is TerminationKind.STRONG_MODEL_OPTIMALITY:
+        order, r, scale = report.orders.p, status.delta_at_exit, 0.5 * (1.0 + report.trace[-1].omega)
+    else:
+        return []
+    ratio = _exact_measure(problem, report.x_final, order, r) / (scale * eps * chi(order, r))
+    if not ratio <= 1.0:
+        return [f"{status.kind.value}: exact order-{order} measure at radius {r:g} is {ratio:.6g} times its bound"]
+    return []

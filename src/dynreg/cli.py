@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import math
+import struct
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -284,6 +285,12 @@ def run_budget(report: RunReport, problem: Problem, x0: np.ndarray) -> Complexit
         return None
 
 
+def run_violations(report: RunReport, problem: Problem, budget: ComplexityBudget | None) -> list[str]:
+    """Every failed check of a finished run: the trace checks against its
+    budget, then the exit audit."""
+    return checks.all_violations(report, budget) + checks.exit_violations(report, problem)
+
+
 def _totals(trace, counters) -> dict:
     """The counts of a finished or aborted run: complete iterations and evaluations."""
     return {
@@ -334,7 +341,9 @@ def aborted_summary(exc: RunAborted) -> dict:
 
 
 def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
-    """Run once; write the trace and the summary of either outcome, then report it."""
+    """Run once; write the trace and the summary of either outcome, then
+    report it and each violation of a finished run."""
+    violations = []
     try:
         report, problem, x0 = execute(cfg)
     except RunAborted as exc:
@@ -342,7 +351,11 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
         line, stream = f"{cfg.problem['name']}: status=aborted: {exc}", sys.stderr
     else:
         trace, summary = report.trace, summarize(report, problem, x0)
-        code = EXIT_BUDGET if report.status.kind is TerminationKind.BUDGET else EXIT_OK
+        violations = run_violations(report, problem, run_budget(report, problem, x0))
+        if report.status.kind is TerminationKind.BUDGET:
+            code = EXIT_BUDGET
+        else:
+            code = EXIT_VIOLATION if violations else EXIT_OK
         totals = summary["totals"]
         line = (
             f"{problem.name}: status={summary['status']} iterations={totals['iterations']} "
@@ -353,6 +366,8 @@ def cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     write_trace(out_dir / "trace.jsonl", trace)
     write_summary(out_dir / "summary.json", summary)
     print(line, file=stream)
+    for v in violations:
+        print(f"BOUND VIOLATION: {v}", file=sys.stderr)
     return code
 
 
@@ -383,7 +398,7 @@ def cmd_scaling(cfg: RunConfig, eps_grid: list[float], out_dir: Path) -> int:
             print(f"eps={eps:g}: status=aborted: {exc}", file=sys.stderr)
             return EXIT_ABORTED
         budget = run_budget(report, problem, x0)
-        violations += [f"eps={eps:g}: {v}" for v in checks.all_violations(report, budget)]
+        violations += [f"eps={eps:g}: {v}" for v in run_violations(report, problem, budget)]
         rows.append(
             {
                 "eps": eps,
@@ -408,9 +423,8 @@ def cmd_scaling(cfg: RunConfig, eps_grid: list[float], out_dir: Path) -> int:
 def cmd_sample_check(cfg: RunConfig, trials: int, eps_fracs: list[float], out_dir: Path) -> int:
     if trials < 1:
         raise ConfigError("--trials must be at least 1")
-    # 1e9 * frac keys each fraction's rng, so it has to be finite too
-    if not eps_fracs or not all(0.0 < frac and 1e9 * frac < math.inf for frac in eps_fracs):
-        raise ConfigError("--eps-frac needs positive fractions with 1e9 * fraction finite")
+    if not eps_fracs or not all(0.0 < frac < math.inf for frac in eps_fracs):
+        raise ConfigError("--eps-frac needs positive finite fractions")
     params, orders = cfg.build_params(), cfg.build_orders()  # before the dataset is built
     _, dataset, x0 = build_problem(cfg)
     t = _sampling_t(cfg, dataset, params.eps, orders)
@@ -423,7 +437,8 @@ def cmd_sample_check(cfg: RunConfig, trials: int, eps_fracs: list[float], out_di
             eps_j = frac * dataset.kappa_bounds[j]
             if eps_j <= 0.0:
                 continue
-            rng = np.random.default_rng([cfg.seed, j, int(1e9 * frac)])
+            # the fraction's IEEE bits key its rng: distinct fractions, distinct draws
+            rng = np.random.default_rng([cfg.seed, j, int.from_bytes(struct.pack("<d", frac), "little")])
             m, failures = sampling_failures(dataset, x0, j, eps_j, t, trials, rng)
             rate = failures / trials
             threshold = t + 3.0 * math.sqrt(t * (1.0 - t) / trials)

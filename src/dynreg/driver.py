@@ -60,6 +60,9 @@ class TerminationKind(str, Enum):
 
     For q < p this bounds the order-q measure only up to the higher-order
     terms of T at radius r.
+
+    ``zero_step`` and ``budget`` certify nothing.  ``checks.exit_violations``
+    rechecks each kind's bound from exact derivatives.
     """
 
     OPTIMAL_MEASURE = "optimal_measure"

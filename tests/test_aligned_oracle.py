@@ -5,11 +5,11 @@ point the harmful way.
 adds eps_2 I to the Hessian, so the inexact optimality measure reads
 smaller than the exact one by as much as the promise allows, and promises
 exactly the request.  The paper's guarantee holds for any error within the
-promise, so every run that stops with ``optimal_measure`` or
-``negligible_increment`` must leave the exact measure phi(1) at most
-eps * chi_q(1).  The adversary comes within a fraction of a percent of that
-bound, so a rule that let a certificate rest on too loose a bound would
-show here.
+promise, so every exit must pass the exit audit ``checks.exit_violations``:
+a run that stops with ``optimal_measure`` or ``negligible_increment`` must
+leave the exact measure phi(1) at most eps * chi_q(1).  The adversary
+comes within a fraction of a percent of that bound, so a rule that let a
+certificate rest on too loose a bound would show here.
 
 A run that stops with ``strong_model_optimality`` certifies the order-p
 measure at the step's radius r = ||s|| instead (see ``TerminationKind``):
@@ -31,24 +31,17 @@ import pytest
 
 from dynreg import (
     AlgoParams,
-    DerivativeBundle,
     NoisyOracle,
     Oracle,
     Orders,
     Schedule,
     TerminationKind,
     checks,
-    chi,
     complexity_budget,
     make_quadratic,
     make_rosenbrock,
-    optimality_measure,
     run,
-    trust_region_min,
 )
-from dynreg.subsolvers import OPTIMALITY_RADIUS
-
-MEASURE_EXITS = (TerminationKind.OPTIMAL_MEASURE, TerminationKind.NEGLIGIBLE_INCREMENT)
 
 
 class AlignedOracle(Oracle):
@@ -89,33 +82,6 @@ class ValueAdversary(AlignedOracle):
         return (f + eps if x.tobytes() == self.origin else f - eps), eps
 
 
-def _exact_ratio(problem, x, q, eps):
-    """phi(1) / (eps chi_q(1)) from the exact derivatives at x."""
-    bundle = DerivativeBundle(origin=x, grad=problem.grad(x), hess=problem.hess(x) if q == 2 else None)
-    return optimality_measure(bundle, OPTIMALITY_RADIUS, q).phi / (eps * chi(q, OPTIMALITY_RADIUS))
-
-
-def _check_measure_exit(problem, report, q, eps) -> bool:
-    """Assert the exact bound at a measure exit; whether the run had one."""
-    if report.status.kind not in MEASURE_EXITS:
-        return False
-    ratio = _exact_ratio(problem, report.x_final, q, eps)
-    assert ratio <= 1.0, f"eps={eps:g}: exact measure {ratio:.6f} of its bound at {report.status.kind.value}"
-    return True
-
-
-def _check_model_exit(problem, report, eps) -> bool:
-    """Assert the exact order-p bound at a strong model optimality exit;
-    whether the run had one.  Only p = 2 reaches that exit."""
-    if report.status.kind is not TerminationKind.STRONG_MODEL_OPTIMALITY:
-        return False
-    x, r = report.x_final, report.status.delta_at_exit
-    phi = max(0.0, -trust_region_min(problem.grad(x), problem.hess(x), r).value)
-    ratio = phi / (0.5 * (1.0 + report.trace[-1].omega) * eps * chi(2, r))
-    assert ratio <= 1.0, f"eps={eps:g}: exact order-2 measure {ratio:.6f} of its bound at radius {r:g}"
-    return True
-
-
 # steepest descent (p = 1) crawls Rosenbrock's valley for thousands of
 # iterations from the usual start, so the first-order runs start on the
 # valley floor to keep the battery short
@@ -133,8 +99,8 @@ def test_measure_exits_hold_against_aligned_errors(name, problem, starts, orders
     for eps in (1e-2, 1e-4):
         report = run(AlignedOracle(problem), starts[orders.p], AlgoParams(eps=eps, schedule=schedule), orders)
         assert report.status.kind is not TerminationKind.BUDGET
-        checked += _check_measure_exit(problem, report, orders.q, eps)
-        _check_model_exit(problem, report, eps)
+        assert checks.exit_violations(report, problem) == [], f"eps={eps:g}"
+        checked += report.status.kind in (TerminationKind.OPTIMAL_MEASURE, TerminationKind.NEGLIGIBLE_INCREMENT)
     assert checked > 0
 
 
@@ -152,9 +118,8 @@ def test_runs_hold_against_adversarial_values(name, problem, starts, orders, sch
         if orders.p in problem.lipschitz:  # Rosenbrock has no global constant
             L = problem.lipschitz[orders.p]
             budget = complexity_budget(L, float(problem.value(x0)), problem.f_low, params, orders)
-        assert checks.all_violations(report, budget) == [], f"eps={eps:g}"
-        checked += _check_measure_exit(problem, report, orders.q, eps)
-        _check_model_exit(problem, report, eps)
+        assert checks.all_violations(report, budget) + checks.exit_violations(report, problem) == [], f"eps={eps:g}"
+        checked += report.status.kind in (TerminationKind.OPTIMAL_MEASURE, TerminationKind.NEGLIGIBLE_INCREMENT)
     assert checked > 0
 
 
@@ -173,5 +138,6 @@ def test_strong_model_exits_bound_the_order_p_measure(oracles):
     for make_oracle in oracles:
         for eps in (1e-2, 1e-3):
             report = run(make_oracle(problem), np.array([-1.2, 1.0]), AlgoParams(eps=eps), Orders(2, 1))
-            checked += _check_model_exit(problem, report, eps)
+            assert checks.exit_violations(report, problem) == [], f"eps={eps:g}"
+            checked += report.status.kind is TerminationKind.STRONG_MODEL_OPTIMALITY
     assert checked > 0

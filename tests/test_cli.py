@@ -243,6 +243,14 @@ class TestSolve:
         cfg = write_config(tmp_path, payload)
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_BUDGET
 
+    def test_bound_violation_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a failed trace check fails the solve, not only its summary
+        monkeypatch.setattr(cli.checks, "all_violations", lambda report, budget=None: ["forced"])
+        out = tmp_path / "o"
+        assert main(["solve", "--problem", "quartic", "--p", "2", "--out", str(out)]) == EXIT_VIOLATION
+        assert "BOUND VIOLATION: forced" in capsys.readouterr().err.splitlines()
+        assert json.loads((out / "summary.json").read_text())["bounds_ok"] is False
+
     def test_budget_beyond_float_range_is_null(self, tmp_path):
         # the Hessian constant 6 * 1e308 overflows: the run stands, its
         # budget bounds nothing
@@ -530,10 +538,24 @@ class TestSampleCheck:
 
     def test_nonpositive_fraction_rejected(self, tmp_path):
         cfg = write_config(tmp_path, self.PAYLOAD)
-        # 1e300 is finite, but 1e9 * 1e300, the fraction's rng key, is not
-        for frac in ("0", "1e300"):
+        for frac in ("0", "inf", "nan"):
             args = ["sample-check", "--config", str(cfg), "--eps-frac", frac, "--out", str(tmp_path / "o")]
             assert main(args) == EXIT_CONFIG
+
+    def test_close_fractions_draw_different_samples(self, tmp_path, monkeypatch):
+        # 1e9 times either fraction truncates to 300000000; their bits differ
+        states = []
+
+        def record(dataset, x0, j, eps_j, t, trials, rng):
+            states.append(rng.bit_generator.state["state"]["state"])
+            return sampling_failures(dataset, x0, j, eps_j, t, trials, rng)
+
+        sampling_failures = cli.sampling_failures
+        monkeypatch.setattr(cli, "sampling_failures", record)
+        cfg = write_config(tmp_path, self.PAYLOAD)
+        args = ["sample-check", "--config", str(cfg), "--trials", "10", "--eps-frac", "0.3,0.3000000009"]
+        assert main([*args, "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert len(states) == len(set(states)) == 6
 
 
 # the CLI's defaults written out, apart from its schema: each problem's
