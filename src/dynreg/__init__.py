@@ -48,6 +48,7 @@ from .subsolvers import (
     ModelSolution,
     StepResult,
     SubsolverError,
+    cauchy_decrease,
     cubic_min,
     model_descent_step,
     optimality_measure,

@@ -18,10 +18,28 @@ loosest rung the previous iteration's certificates allow: every site
 loosest rung at which the same increment would still certify against the
 request, and the next iteration starts at the tightest of those records,
 or at kappa_eps when there are none.  MONOTONIC never resets the ladder.
+
+When every promise of the measure bundle is 0, the cascade certifies any
+positive q = 2 measure with flag 2, so its value decides only the
+termination test phi <= eps chi_q(1)/(1 + omega) and, under FLEXIBLE at
+a rung above 0, the start rung.  At rung 0 or under MONOTONIC the driver
+therefore first takes ``subsolvers.cauchy_decrease``, the decrease at the
+Cauchy point, which bounds phi from below for one product with H; when it
+is finite and at least twice the termination threshold, it stands in for
+the trust-region solve.  The cascade then gives flag 2 for the bound as
+for the solved phi, the termination test fails for both, and no start
+rung is recorded, so every flag, exit and trace record is the one the
+solve would give.  The factor 2 is the rounding margin: the bound holds
+in exact arithmetic, and the computed bound and the solved phi each err
+by rounding and the secular tolerance (1e-12 relative), far less than
+half, so a bound at twice the threshold leaves the solved phi above it.
+A NaN or infinite bound, and any other case, falls back to the solve.
+With p == q the step phase reuses the measure's bundle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -30,7 +48,7 @@ import numpy as np
 from .certify import CertifyFlag, certify_increment, loosest_certifying
 from .oracles import EvalCounters, Oracle
 from .params import LADDER_TINY, AlgoParams, Schedule
-from .subsolvers import OPTIMALITY_RADIUS, model_descent_step, optimality_measure
+from .subsolvers import OPTIMALITY_RADIUS, cauchy_decrease, model_descent_step, optimality_measure
 from .taylor import Orders, chi
 
 
@@ -174,10 +192,12 @@ class AccuracyLadder:
 
 
 class RunAborted(RuntimeError):
-    """A subsolver, the ladder, the oracle or a certification guard failed
-    mid-run (a ``RuntimeError`` or ``ValueError`` inside the loop, such as a
-    non-finite oracle result or an overflowed increment); carries the
-    partial trace."""
+    """A subsolver, the ladder, the oracle, a certification guard or float
+    arithmetic failed mid-run (a ``RuntimeError``, ``ValueError`` or
+    ``ArithmeticError`` inside the loop, such as a non-finite oracle result,
+    an overflowed increment or a first-order step length that overflows);
+    carries the partial trace.  The message of an ``ArithmeticError`` names
+    its type."""
 
     def __init__(self, message, trace, counters):
         super().__init__(message)
@@ -201,10 +221,9 @@ def sigma_omega_update(rho: float, sigma: float, params: AlgoParams) -> tuple[fl
     return sigma_next, min(params.kappa_omega, 1.0 / sigma_next)
 
 
-def _counts(counters: EvalCounters) -> tuple[int, int, int, int]:
-    """Function, order-1, order-2 and component evaluations so far."""
-    d = counters.deriv_evals
-    return counters.fun_evals, d.get(1, 0), d.get(2, 0), counters.component_evals
+def _inf_norm(x: np.ndarray) -> float:
+    """Largest absolute entry of x (0 for an empty x): a record's ``x_inf``."""
+    return max(map(abs, x.tolist()), default=0.0)
 
 
 def _certify(stage, flags, starts, ladder, delta, increment, acc, order, omega, xi) -> CertifyFlag:
@@ -258,33 +277,50 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
     # per site, the loosest rung its last certificate allows; MONOTONIC keeps none
     starts = {} if params.schedule is Schedule.FLEXIBLE else None
 
+    x_inf = _inf_norm(x)
+    deriv_evals = counters.deriv_evals
+
     try:
         for k in range(params.max_iter):
-            if starts is not None:
+            # a reset to rung 0 from rung 0 changes nothing
+            if starts is not None and (starts or ladder.i_eps):
                 ladder.reset(max(starts.values(), default=0))
                 starts.clear()
-            base = _counts(counters)
+            fun0, comp0 = counters.fun_evals, counters.component_evals
+            d1, d2 = deriv_evals.get(1, 0), deriv_evals.get(2, 0)
             flags = []
             xi_abs = 0.5 * omega * eps
+            phi_exit = eps / (1.0 + omega) * chi_q
 
             # -- optimality measure --
             while True:
                 bundle = oracle.request_derivatives(x, ladder.eps, orders.q)
-                measure = optimality_measure(bundle, OPTIMALITY_RADIUS, orders.q)
+                # the Cauchy bound settles a q = 2 measure that no promise
+                # and no start rung depends on (module docstring)
+                phi = math.nan
+                if orders.q == 2 and (starts is None or not ladder.i_eps) and not any(bundle.achieved_acc.values()):
+                    phi = cauchy_decrease(bundle, OPTIMALITY_RADIUS)
+                if not 2.0 * phi_exit <= phi < math.inf:
+                    phi = optimality_measure(bundle, OPTIMALITY_RADIUS, orders.q).phi
                 flag = _certify(
-                    "measure", flags, starts, ladder, OPTIMALITY_RADIUS, measure.phi,
+                    "measure", flags, starts, ladder, OPTIMALITY_RADIUS, phi,
                     bundle.achieved_acc, orders.q, omega, xi_abs,
                 )
                 if flag is not CertifyFlag.NOT_CERTIFIED:
                     break
             if flag is not CertifyFlag.RELATIVE_OK:
-                status = Termination(TerminationKind.NEGLIGIBLE_INCREMENT, OPTIMALITY_RADIUS, k, measure.phi)
-            elif measure.phi <= eps / (1.0 + omega) * chi_q:
-                status = Termination(TerminationKind.OPTIMAL_MEASURE, OPTIMALITY_RADIUS, k, measure.phi)
+                status = Termination(TerminationKind.NEGLIGIBLE_INCREMENT, OPTIMALITY_RADIUS, k, phi)
+            elif phi <= phi_exit:
+                status = Termination(TerminationKind.OPTIMAL_MEASURE, OPTIMALITY_RADIUS, k, phi)
 
             # -- step computation on the regularized model --
+            # with p == q the first request would be served the measure's
+            # bundle: same point, same rung, and no request in between
+            reuse = orders.p == orders.q
             while status is None:
-                bundle = oracle.request_derivatives(x, ladder.eps, orders.p)
+                if not reuse:
+                    bundle = oracle.request_derivatives(x, ladder.eps, orders.p)
+                reuse = False
                 step = model_descent_step(bundle, sigma, orders, eps, params.mu, params.theta)
                 if step.zero_step:
                     status = Termination(TerminationKind.ZERO_STEP, OPTIMALITY_RADIUS, k)
@@ -329,7 +365,6 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
                 success = rho >= params.eta1
                 step_norm = step.step_norm
             extras = oracle.end_iteration()
-            now = _counts(counters)
             trace.append(
                 IterRecord(
                     k=k,
@@ -341,22 +376,24 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
                     eps=ladder.eps,
                     shrinks=[f for _, f in flags].count(not_certified),
                     flags=tuple(flags),
-                    fun_evals=now[0] - base[0],
-                    deriv_evals=((1, now[1] - base[1]), (2, now[2] - base[2])),
-                    component_evals=now[3] - base[3],
+                    fun_evals=counters.fun_evals - fun0,
+                    deriv_evals=((1, deriv_evals.get(1, 0) - d1), (2, deriv_evals.get(2, 0) - d2)),
+                    component_evals=counters.component_evals - comp0,
                     extras=extras,
-                    x_inf=max(map(abs, x.tolist()), default=0.0),
+                    x_inf=x_inf,
                 )
             )
             if status is not None:
                 break
             if success:
                 x = x_trial
+                x_inf = _inf_norm(x)
             sigma, omega = sigma_omega_update(rho, sigma, params)
         else:
             status = Termination(TerminationKind.BUDGET, OPTIMALITY_RADIUS, params.max_iter)
-    except (RuntimeError, ValueError) as exc:
-        raise RunAborted(f"run aborted at iteration {len(trace)}: {exc}", trace, counters) from exc
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
+        reason = f"{type(exc).__name__}: {exc}" if isinstance(exc, ArithmeticError) else exc
+        raise RunAborted(f"run aborted at iteration {len(trace)}: {reason}", trace, counters) from exc
 
     return RunReport(
         status=status,

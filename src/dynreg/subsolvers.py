@@ -9,7 +9,8 @@ lam >= max(0, -lambda_min(H)) with ||d(lam)|| = a + b lam: (a, b) is
 of (g, H) is kept for the next call, so the measure, the step and a
 rejected step's resolve on the same derivatives share one
 eigendecomposition.  On that core sit the ball-constrained optimality
-measure and the model descent step used by the driver.
+measure and the model descent step used by the driver; beside it,
+``cauchy_decrease`` bounds the q = 2 measure from below without a solve.
 
 Optimality is measured at one radius, ``OPTIMALITY_RADIUS`` = 1: at the
 exact global model minimizer with q <= 2, phi(delta)/chi_q(delta) never
@@ -339,6 +340,29 @@ def optimality_measure(bundle: DerivativeBundle, delta: float, q: int) -> Measur
         tr = trust_region_min(bundle.grad, bundle.hess, delta)
         return MeasureResult(phi=max(0.0, -tr.value), d=tr.d)
     raise ValueError("q must be 1 or 2")
+
+
+def cauchy_decrease(bundle: DerivativeBundle, delta: float) -> float:
+    """Decrease of the degree-2 Taylor expansion at its Cauchy point in a delta-ball.
+
+    Along d = -t g/||g|| the expansion decreases by t ||g|| - t^2 kappa/2,
+    kappa = g.H.g/||g||^2; the result is that decrease at the best
+    t in [0, delta], and 0 when g = 0 (Conn, Gould & Toint, Trust-Region
+    Methods, SIAM 2000, section 6.3).  The point lies in the ball, so the
+    result bounds ``optimality_measure(bundle, delta, 2).phi`` from below,
+    for one product with H and no eigendecomposition.  The subtracted term
+    is at most half of t ||g||, so rounding costs the bound a few units in
+    the last place relative to itself.  A non-finite g.H.g gives a NaN or
+    infinite result.
+    """
+    g = bundle.grad
+    gg = float(g.dot(g))
+    if gg == 0.0:
+        return 0.0
+    gn = math.sqrt(gg)
+    kappa = float(g.dot(bundle.hess @ g)) / gg
+    t = delta if kappa <= 0.0 else min(delta, gn / kappa)
+    return t * gn - 0.5 * t * t * kappa
 
 
 def model_descent_step(

@@ -277,6 +277,22 @@ class TestSolve:
         assert summary["totals"]["deriv_evals"] == {"1": 1}
         assert (out / "trace.jsonl").read_text() == ""
 
+    def test_overflowed_step_exit_code(self, tmp_path):
+        # the p = 1 step length (||g|| / sigma)^(1/beta) overflows a Python
+        # float: the run aborts with exit 4, not a traceback and exit 1
+        payload = {
+            "problem": {"name": "quadratic", "diag": [1.0], "x0": [1e31]},
+            "orders": {"p": 1, "q": 1, "beta": 0.1},
+        }
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_ABORTED
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "aborted"
+        assert "OverflowError" in summary["reason"]
+        assert summary["totals"]["deriv_evals"] == {"1": 1}
+        assert (out / "trace.jsonl").read_text() == ""
+
     def test_aborted_run_keeps_partial_trace(self, tmp_path, monkeypatch):
         import numpy as np
 

@@ -10,16 +10,18 @@ from dynreg import (
     NoisyOracle,
     Orders,
     Problem,
+    RunAborted,
     Schedule,
     SubsampledOracle,
     TerminationKind,
     make_quadratic,
+    make_quartic,
     make_rosenbrock,
     make_synthetic_dataset,
     run,
     sigma_omega_update,
 )
-from dynreg import AccuracyLadder, CertifyFlag, driver
+from dynreg import AccuracyLadder, CertifyFlag, driver, subsolvers
 from dynreg.certify import certify_increment
 from dynreg.checks import counting_violations, exit_violations, shrink_violations
 
@@ -316,6 +318,44 @@ class TestAbort:
         assert isinstance(err.value.__cause__, SubsolverError)
         assert err.value.trace == []
 
+    def test_overflowed_step_length_aborts(self):
+        # the p = 1 step length (||g|| / sigma)^(1/beta) leaves the float
+        # range: a Python float overflow, which aborts like any other failure
+        with pytest.raises(RunAborted, match="iteration 0: OverflowError") as err:
+            run(ExactOracle(make_quadratic(np.array([1.0]))), np.array([1e31]), AlgoParams(), Orders(1, 1, 0.1))
+        assert isinstance(err.value.__cause__, OverflowError)
+        assert err.value.trace == []
+
+
+class TestExtremeStarts:
+    """Whatever the scale of a valid start, ``run`` returns or raises
+    ``RunAborted``: no other exception leaves it."""
+
+    PROBLEMS = {
+        "quadratic": make_quadratic(np.array([1.0, 7.0])),
+        "quartic": make_quartic(2),
+        "rosenbrock": make_rosenbrock(),
+    }
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        name=st.sampled_from(sorted(PROBLEMS)),
+        pq=st.sampled_from([(1, 1), (2, 1), (2, 2)]),
+        beta=st.sampled_from([0.1, 0.3, 0.5, 1.0]),
+        noisy=st.booleans(),
+        start=st.lists(st.tuples(st.booleans(), st.floats(-300.0, 300.0)), min_size=2, max_size=2),
+    )
+    def test_returns_or_aborts(self, name, pq, beta, noisy, start):
+        problem = self.PROBLEMS[name]
+        orders = Orders(*pq, beta if pq[0] == 1 else 1.0)
+        oracle = NoisyOracle(problem, 0.9, seed=0) if noisy else ExactOracle(problem)
+        x0 = np.array([(-1.0 if neg else 1.0) * 10.0**e for neg, e in start])
+        try:
+            run(oracle, x0, AlgoParams(eps=1e-4, max_iter=200), orders)
+        except RunAborted:
+            pass
+
 
 def tag_request(base):
     """The same oracle and cache, with every bundle tagged with the request
@@ -423,6 +463,103 @@ class TestPromiseKeyedCertification:
             AlgoParams(eps=1e-2),
             Orders(p=2, q=2),
         )
+
+
+class TestCauchyShortcut:
+    """On data that promises 0 the Cauchy bound stands in for the q = 2
+    trust-region solve only where the solved value could change no flag,
+    exit or start rung: forcing the solve gives the same run."""
+
+    CASES = {
+        "rosenbrock": (lambda: ExactOracle(make_rosenbrock()), np.array([-1.2, 1.0]), AlgoParams(eps=1e-6)),
+        "quartic-n20": (
+            lambda: ExactOracle(make_quartic(20)),
+            np.linspace(-0.9, 0.9, 20),
+            AlgoParams(eps=1e-4),
+        ),
+        "monotonic": (
+            lambda: ExactOracle(make_rosenbrock()),
+            np.array([-1.0, 1.3]),
+            AlgoParams(eps=1e-6, schedule=Schedule.MONOTONIC),
+        ),
+        "full-batch-sigmoid": (
+            lambda: SubsampledOracle(make_synthetic_dataset(40, 4, seed=8), t=1e-3, seed=3),
+            np.zeros(4),
+            AlgoParams(eps=1e-4),
+        ),
+    }
+
+    @staticmethod
+    def solves(monkeypatch):
+        calls = []
+        solve = subsolvers.trust_region_min
+
+        def spy(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(subsolvers, "trust_region_min", spy)
+        return calls
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_run_as_the_solve(self, monkeypatch, case):
+        make_oracle, x0, params = self.CASES[case]
+        calls = self.solves(monkeypatch)
+        lazy = run(make_oracle(), x0, params, Orders(2, 2))
+        lazy_solves = len(calls)
+        monkeypatch.setattr(driver, "cauchy_decrease", lambda bundle, delta: 0.0)
+        forced = run(make_oracle(), x0, params, Orders(2, 2))
+        assert lazy_solves < len(calls) - lazy_solves
+        assert lazy.status == forced.status
+        np.testing.assert_array_equal(lazy.x_final, forced.x_final)
+        assert len(lazy.trace) == len(forced.trace)
+        for a, b in zip(lazy.trace, forced.trace):
+            for name in IterRecord.__slots__:
+                assert getattr(a, name) == getattr(b, name), name
+
+    @staticmethod
+    def bound_calls(monkeypatch):
+        taken = []
+
+        def spy(bundle, delta):
+            taken.append(bundle)
+            return subsolvers.cauchy_decrease(bundle, delta)
+
+        monkeypatch.setattr(driver, "cauchy_decrease", spy)
+        return taken
+
+    def test_a_nonzero_promise_never_takes_the_bound(self, monkeypatch):
+        class HessianPromise(ExactOracle):
+            # an exact gradient promising 0 beside a Hessian promising the request
+            def _compute(self, x, j, eps):
+                result, promise = super()._compute(x, j, eps)
+                return result, eps if j == 2 else promise
+
+        taken = self.bound_calls(monkeypatch)
+        for oracle in (NoisyOracle(make_rosenbrock(), noise_fraction=0.0), HessianPromise(make_rosenbrock())):
+            report = run(oracle, np.array([-1.2, 1.0]), AlgoParams(eps=1e-4), Orders(2, 2))
+            assert report.n_complete > 0
+        assert taken == []
+
+    def test_a_start_rung_keeps_the_solve(self, monkeypatch):
+        # after a shrink at iteration 0 these requests are all full sums,
+        # promising 0, but FLEXIBLE records their start rungs from phi
+        oracle = SubsampledOracle(make_synthetic_dataset(400, 4, seed=8), t=1e-3, seed=3)
+        zero_promise = []
+        request = oracle.request_derivatives
+
+        def spy_request(x, eps, upto):
+            bundle = request(x, eps, upto)
+            zero_promise.append(not any(bundle.achieved_acc.values()))
+            return bundle
+
+        oracle.request_derivatives = spy_request
+        taken = self.bound_calls(monkeypatch)
+        params = AlgoParams(eps=1e-4)
+        report = run(oracle, np.zeros(4), params, Orders(2, 2))
+        assert sum(zero_promise) > 10
+        assert all(rec.eps < params.kappa_eps for rec in report.trace)
+        assert taken == []
 
 
 class TestModelSiteBound:

@@ -12,6 +12,7 @@ from dynreg import (
     Orders,
     RunAborted,
     SubsolverError,
+    cauchy_decrease,
     chi,
     cubic_min,
     make_quadratic,
@@ -212,6 +213,48 @@ class TestAdversarialSpectra:
         sol = cubic_min(g, H, sigma)
         assert_model_certificates(g, H, sol)
         assert abs(sol.lam - 0.5 * sigma * np.linalg.norm(sol.d)) <= 1e-8 * sol.lam
+
+
+class TestCauchyDecrease:
+    """The decrease at the Cauchy point bounds the q = 2 measure from below;
+    with no curvature along g it is the q = 1 measure."""
+
+    @staticmethod
+    def bundle(g, H):
+        return DerivativeBundle(origin=np.zeros(g.size), grad=g, hess=H, achieved_acc={1: 0.0, 2: 0.0})
+
+    @PROPERTY
+    @given(model=adversarial_models(), delta=st.floats(1e-2, 1.0))
+    def test_bounds_the_second_order_measure(self, model, delta):
+        g, H, _ = model
+        b = self.bundle(g, H)
+        bound = cauchy_decrease(b, delta)
+        assert bound >= 0.0
+        # the solved value is the model's to 1e-9 of the data's size at the
+        # radius (TestOnDemandDiagnostics), so it may read that much low
+        size = float(np.linalg.norm(g)) * delta + float(np.linalg.norm(H, 2)) * delta**2
+        assert bound <= optimality_measure(b, delta, 2).phi + 1e-9 * size
+
+    @PROPERTY
+    @given(model=adversarial_models(), delta=st.floats(1e-2, 1.0))
+    def test_equals_the_first_order_measure_without_curvature(self, model, delta):
+        g, _, _ = model
+        b = self.bundle(g, np.zeros((g.size, g.size)))
+        assert cauchy_decrease(b, delta) == optimality_measure(b, delta, 1).phi
+
+    @pytest.mark.parametrize(
+        "H, delta, expected",
+        [
+            (np.diag([4.0, 1.0]), 1.0, 0.125),  # interior: ||g||^2 / (2 kappa)
+            (np.diag([0.5, 1.0]), 1.0, 0.75),  # boundary: delta ||g|| - delta^2 kappa / 2
+            (np.diag([-1.0, 1.0]), 0.5, 0.625),  # negative curvature: the boundary
+        ],
+    )
+    def test_hand_values(self, H, delta, expected):
+        assert cauchy_decrease(self.bundle(np.array([1.0, 0.0]), H), delta) == expected
+
+    def test_zero_gradient(self):
+        assert cauchy_decrease(self.bundle(np.zeros(2), -np.eye(2)), 1.0) == 0.0
 
 
 class TestOnDemandDiagnostics:
