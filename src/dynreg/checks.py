@@ -14,8 +14,8 @@ from .bounds import ComplexityBudget, shrink_budget, success_count_bound
 from .driver import RunReport, TerminationKind
 from .params import Schedule
 from .problems import Problem
-from .subsolvers import OPTIMALITY_RADIUS, SubsolverError, trust_region_min
-from .taylor import chi
+from .subsolvers import OPTIMALITY_RADIUS, SubsolverError, optimality_measure
+from .taylor import DerivativeBundle, chi
 
 
 def counting_violations(report: RunReport) -> list[str]:
@@ -82,11 +82,9 @@ def _exact_measure(problem: Problem, x, order: int, r: float) -> float:
     """phi_{f,order}(r) at x from the problem's exact derivatives, for any
     radius r > 0; NaN when it cannot be computed (non-finite derivatives or
     a failed subsolve)."""
-    g = problem.grad(x)
-    if order == 1:
-        return r * float(np.linalg.norm(g))
     try:
-        return max(0.0, -trust_region_min(g, problem.hess(x), r).value)
+        bundle = DerivativeBundle(origin=x, grad=problem.grad(x), hess=problem.hess(x) if order == 2 else None)
+        return optimality_measure(bundle, r, order).phi
     except (SubsolverError, ValueError):
         return np.nan
 

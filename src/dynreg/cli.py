@@ -388,6 +388,7 @@ def cmd_scaling(cfg: RunConfig, eps_grid: list[float], out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     violations = []
+    budget_exit = False
     for i, eps in enumerate(eps_grid):
         sub = RunConfig.from_dict(cfg.to_dict())
         sub.algo["eps"] = eps
@@ -397,6 +398,9 @@ def cmd_scaling(cfg: RunConfig, eps_grid: list[float], out_dir: Path) -> int:
         except RunAborted as exc:
             print(f"eps={eps:g}: status=aborted: {exc}", file=sys.stderr)
             return EXIT_ABORTED
+        if report.status.kind is TerminationKind.BUDGET:
+            print(f"eps={eps:g}: status=budget", file=sys.stderr)
+            budget_exit = True
         budget = run_budget(report, problem, x0)
         violations += [f"eps={eps:g}: {v}" for v in run_violations(report, problem, budget)]
         rows.append(
@@ -417,7 +421,8 @@ def cmd_scaling(cfg: RunConfig, eps_grid: list[float], out_dir: Path) -> int:
         ys = np.array([p[1] for p in pts])
         slope = float(np.polyfit(xs, ys, 1)[0])
         print(f"log-log slope of successful iterations vs eps: {slope:.3f} (informational)")
-    return write_table(out_dir / "scaling.csv", rows, violations, "BOUND")
+    code = write_table(out_dir / "scaling.csv", rows, violations, "BOUND")
+    return EXIT_BUDGET if budget_exit else code
 
 
 def cmd_sample_check(cfg: RunConfig, trials: int, eps_fracs: list[float], out_dir: Path) -> int:

@@ -49,7 +49,7 @@ from .certify import CertifyFlag, certify_increment, loosest_certifying
 from .oracles import EvalCounters, Oracle
 from .params import LADDER_TINY, AlgoParams, Schedule
 from .subsolvers import OPTIMALITY_RADIUS, cauchy_decrease, model_descent_step, optimality_measure
-from .taylor import Orders, chi
+from .taylor import Orders, chi, model_accuracy
 
 
 class TerminationKind(str, Enum):
@@ -147,7 +147,13 @@ class RunReport:
 
     @property
     def sigma_max_observed(self) -> float:
-        return max(r.sigma for r in self.trace) if self.trace else self.params.sigma0
+        """The largest sigma of the run: every record's, and the sigma the
+        last update gave when the last record is complete (a budget exit)."""
+        sigma = max((r.sigma for r in self.trace), default=self.params.sigma0)
+        if self.trace and self.trace[-1].rho is not None:
+            last = self.trace[-1]
+            sigma = max(sigma, sigma_omega_update(last.rho, last.sigma, self.params)[0])
+        return sigma
 
     @property
     def total_shrinks(self) -> int:
@@ -322,7 +328,7 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
                     bundle = oracle.request_derivatives(x, ladder.eps, orders.p)
                 reuse = False
                 step = model_descent_step(bundle, sigma, orders, eps, params.mu, params.theta)
-                if step.zero_step:
+                if step is None:
                     status = Termination(TerminationKind.ZERO_STEP, OPTIMALITY_RADIUS, k)
                     break
                 if orders.p == 1:
@@ -348,7 +354,7 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
                     break
                 flag = _certify(
                     "model", flags, starts, ladder, OPTIMALITY_RADIUS, max(0.0, step.measure_increment),
-                    step.model_acc, orders.q, omega, xi_d_scale * omega * eps,
+                    model_accuracy(bundle.achieved_acc, step.step_norm), orders.q, omega, xi_d_scale * omega * eps,
                 )
                 if flag is not CertifyFlag.NOT_CERTIFIED:
                     break

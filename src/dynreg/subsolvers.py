@@ -34,7 +34,6 @@ from .taylor import (
     Orders,
     chi,
     holder_factorial,
-    model_accuracy,
     model_taylor_derivs,
     taylor_increment,
 )
@@ -99,27 +98,15 @@ class MeasureResult:
 class StepResult:
     """Trial step for the regularized model, with the data the driver certifies.
 
-    ``model_acc`` bounds the errors of the model derivatives behind
-    ``measure_increment`` (see ``model_accuracy``); both are None for a
-    long or zero step.
+    ``measure_increment`` is the model's optimality measure at the step,
+    None for a long step; the driver bounds the errors behind it with
+    ``taylor.model_accuracy`` of the step bundle's tags.
     """
 
-    s: np.ndarray | None
+    s: np.ndarray
     step_norm: float
     increment: float
     measure_increment: float | None
-    model_acc: dict[int, float] | None = None
-    zero_step: bool = False
-
-    @classmethod
-    def zero(cls, n: int) -> "StepResult":
-        return cls(
-            s=np.zeros(n),
-            step_norm=0.0,
-            increment=0.0,
-            measure_increment=None,
-            zero_step=True,
-        )
 
 
 @dataclass(slots=True)
@@ -158,7 +145,8 @@ def _spectrum(g, H) -> _Spectrum:
 
     The memo is keyed on the exact contents of g and H: the oracle hands out
     fresh arrays for equal derivatives, so identity never repeats, and an
-    array mutated in place no longer matches.
+    array mutated in place no longer matches.  A non-finite spectrum raises
+    and is not kept.
     """
     global _last_spectrum
     g = np.asarray(g, dtype=float)
@@ -168,21 +156,27 @@ def _spectrum(g, H) -> _Spectrum:
     if last is not None and last.g_key == g_key and last.H_key == H_key:
         return last
     w, Q = np.linalg.eigh(0.5 * (H + H.T))
+    # one list serves the check and the scalar reads below, so the check adds
+    # no numpy scalar conversions
+    w_list = w.tolist()
+    if not all(map(math.isfinite, w_list)):
+        raise SubsolverError("Hessian spectrum is not finite", {"eigenvalues": w_list})
     gh = Q.T @ g
     gn = math.sqrt(float(gh.dot(gh)))
     if gn == 0.0 and gh.any():  # the squares underflowed; hypot scales first
         gn = math.hypot(*gh.tolist())
     if not math.isfinite(gn):
         raise SubsolverError("gradient norm is not finite", {"gradient_norm": gn})
-    lam_low = max(0.0, -float(w[0]))
+    lam_low = max(0.0, -w_list[0])
     shifted = w + lam_low
+    shifted_list = shifted.tolist()
     # every tolerance is relative (to ||H||, ||Q^T g|| or tau), so solving
     # (c g, c H) gives the d of (g, H) at any scale c
-    tol = 1e-12 * max(abs(float(w[0])), abs(float(w[-1])))
+    tol = 1e-12 * max(abs(w_list[0]), abs(w_list[-1]))
     neg_gh = -gh
     # w ascends, so an eigenvalue is critical only if the leftmost one is;
     # with none critical the leftmost eigenspace is free of gradient
-    if not float(shifted[0]) <= tol:
+    if not shifted_list[0] <= tol:
         dh = neg_gh / shifted
         leftmost_free = True
     else:
@@ -202,7 +196,7 @@ def _spectrum(g, H) -> _Spectrum:
         gn=gn,
         lam_low=lam_low,
         shifted=shifted,
-        shifted_list=shifted.tolist(),
+        shifted_list=shifted_list,
         leftmost_free=leftmost_free,
         dh=dh,
         nd=math.sqrt(float(dh.dot(dh))),
@@ -317,15 +311,16 @@ def cubic_min(g, H, sigma: float) -> ModelSolution:
 
 
 def optimality_measure(bundle: DerivativeBundle, delta: float, q: int) -> MeasureResult:
-    """Largest decrease of the degree-q Taylor expansion over a delta-ball.
+    """Largest decrease of the degree-q Taylor expansion over a delta-ball,
+    for any finite delta > 0.
 
     For q = 1 the maximizer is -delta g/||g|| in closed form; for q = 2 it
     is a trust-region solve.  The result is nonnegative by construction
     (d = 0 is feasible); tiny negative values from the subsolver tolerance
     are clamped to zero.
     """
-    if not 0.0 < delta <= 1.0:
-        raise ValueError("delta must lie in (0, 1]")
+    if not 0.0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
     if bundle.grad is None:
         raise ValueError("bundle has no gradient")
     if q == 1:
@@ -372,7 +367,7 @@ def model_descent_step(
     eps: float,
     mu: float,
     theta: float,
-) -> StepResult:
+) -> StepResult | None:
     """Globally minimize the regularized model and package the trial step.
 
     Degree one has the closed-form global minimizer along -g; degree two
@@ -384,7 +379,7 @@ def model_descent_step(
     radius can pass (see the module docstring).
 
     A zero global minimizer (or a Taylor increment that rounds to zero)
-    yields a zero-step marker, which the driver treats as termination.
+    gives None, which the driver treats as termination.
     """
     p, q, beta = orders.p, orders.q, orders.beta
     long_step = mu * eps ** (1.0 / orders.gap)
@@ -393,36 +388,31 @@ def model_descent_step(
         g = bundle.grad
         gn = math.sqrt(float(g.dot(g)))
         if gn == 0.0:
-            return StepResult.zero(g.size)
-        t = (gn / sigma) ** (1.0 / beta)
-        s = (-t / gn) * g
-        increment = t * gn
-        if t >= long_step:
-            return StepResult(s, t, increment, None)
+            return None
+        step_norm = (gn / sigma) ** (1.0 / beta)
+        s = (-step_norm / gn) * g
+        increment = step_norm * gn
+        if step_norm >= long_step:
+            return StepResult(s, step_norm, increment, None)
         # model gradient at the minimizer; zero in exact arithmetic
-        mg = g * (1.0 - sigma * t**beta / gn)
+        mg = g * (1.0 - sigma * step_norm**beta / gn)
         measure = math.sqrt(float(mg.dot(mg))) * OPTIMALITY_RADIUS
-        step_norm, model_acc = t, model_accuracy(bundle.achieved_acc, t)
     else:
-        sol = cubic_min(bundle.grad, bundle.hess, sigma)
-        sn = math.sqrt(float(sol.d.dot(sol.d)))
-        if sn == 0.0:
-            return StepResult.zero(bundle.grad.size)
-        increment = taylor_increment(bundle, sol.d, p)
+        s = cubic_min(bundle.grad, bundle.hess, sigma).d
+        step_norm = math.sqrt(float(s.dot(s)))
+        increment = taylor_increment(bundle, s, p) if step_norm else 0.0
         if increment <= 0.0:
-            # descent lost to rounding; by the model-decrease lower bound this
-            # only happens for negligible steps
-            return StepResult.zero(bundle.grad.size)
-        s = sol.d
-        if sn >= long_step:
-            return StepResult(s, sn, increment, None)
-        model = model_taylor_derivs(bundle, s, sigma)
-        measure = optimality_measure(model, OPTIMALITY_RADIUS, q).phi
-        step_norm, model_acc = sn, model.achieved_acc
+            # a zero minimizer, or descent lost to rounding; by the
+            # model-decrease lower bound the latter only happens for
+            # negligible steps
+            return None
+        if step_norm >= long_step:
+            return StepResult(s, step_norm, increment, None)
+        measure = optimality_measure(model_taylor_derivs(bundle, s, sigma), OPTIMALITY_RADIUS, q).phi
     bound = theta * step_norm**orders.gap / holder_factorial(p - q, beta)
     if measure > bound * chi(q, OPTIMALITY_RADIUS):
         raise SubsolverError(
             "the model-measure test failed at the global minimizer",
             {"p": p, "q": q, "step_norm": step_norm, "measure": measure},
         )
-    return StepResult(s, step_norm, increment, measure, model_acc)
+    return StepResult(s, step_norm, increment, measure)

@@ -153,7 +153,7 @@ def model_taylor_derivs(bundle: DerivativeBundle, s: np.ndarray, sigma: float) -
     For the cubic regularizer sigma/6 * ||s||^3 the derivatives are
     g + H s + (sigma/2)||s|| s and H + (sigma/2)(||s|| I + s s^T/||s||); at
     s = 0 both regularizer terms vanish (their continuous limit).  The
-    accuracy tags of the result are ``model_accuracy`` of the input's.
+    result carries no accuracy tags: ``model_accuracy`` bounds its errors.
     """
     if bundle.grad is None or bundle.hess is None:
         raise ValueError("bundle must carry gradient and Hessian")
@@ -164,5 +164,4 @@ def model_taylor_derivs(bundle: DerivativeBundle, s: np.ndarray, sigma: float) -
     if ns > 0.0:
         g = g + (0.5 * sigma * ns) * s
         h = h + (0.5 * sigma) * (ns * np.eye(s.size) + np.outer(s, s) / ns)
-    acc = model_accuracy(bundle.achieved_acc, ns)
-    return DerivativeBundle(origin=s.copy(), grad=g, hess=h, achieved_acc=acc)
+    return DerivativeBundle(origin=s.copy(), grad=g, hess=h)

@@ -505,6 +505,19 @@ class TestScaling:
             blobs.append((out / "scaling.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_budget_exit_code(self, tmp_path, capsys):
+        # as in solve, a grid point that exhausts its budget exits 3, and
+        # every row is still written
+        cfg = write_config(tmp_path, {"algo": {"max_iter": 3}})
+        out = tmp_path / "o"
+        code = main(["scaling", "--config", str(cfg), "--eps-grid", "1e-2:1e-3:2", "--out", str(out)])
+        assert code == EXIT_BUDGET
+        err = capsys.readouterr().err
+        assert "eps=0.01: status=budget" in err and "eps=0.001: status=budget" in err
+        assert "VIOLATION" not in err
+        with open(out / "scaling.csv") as fh:
+            assert [int(row["total_iters"]) for row in csv.DictReader(fh)] == [3, 3]
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_aborted_run_exit_code(self, tmp_path, capsys):
         payload = {"problem": {"name": "rosenbrock", "x0": [1e200, 1.0]}, "orders": {"p": 2, "q": 1}}

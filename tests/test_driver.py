@@ -190,6 +190,17 @@ class TestRosenbrock:
         assert report.status.kind is TerminationKind.BUDGET
         assert report.n_complete == 3
 
+    def test_budget_exit_counts_the_last_sigma_update(self):
+        # sigma 1, 0.5, 1 with one success; the last rejection grows sigma to
+        # 2, which no record holds but the success-count bound needs
+        params = AlgoParams(max_iter=3)
+        report = run(ExactOracle(make_rosenbrock()), np.array([-1.2, 1.0]), params, Orders(p=2, q=1))
+        assert report.status.kind is TerminationKind.BUDGET
+        assert [r.sigma for r in report.trace] == [1.0, 0.5, 1.0]
+        assert report.n_successful == 1
+        assert report.sigma_max_observed == 2.0
+        assert counting_violations(report) == []
+
 
 class TestSaddleEscape:
     def test_hard_case_drives_off_a_saddle(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -483,6 +484,15 @@ class TestNonFiniteData:
         with pytest.raises(ValueError):
             solver(np.array([1.0, 0.5]), np.diag([1.0, -2.0]), radius)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("solver", [trust_region_min, cubic_min])
+    def test_non_finite_hessian_raises_at_once(self, solver, bad):
+        # no secular iteration runs on a non-finite spectrum, and no setup is kept
+        subsolvers._last_spectrum = None
+        with pytest.raises(SubsolverError, match="Hessian spectrum is not finite"):
+            solver(np.array([1.0, 0.5]), np.array([[bad, 0.0], [0.0, 1.0]]), 1.0)
+        assert subsolvers._last_spectrum is None
+
 
 # (solver, radius, second radius); both radii keep HARD_CASE in the hard case
 MEMO_SOLVERS = [(trust_region_min, 1.0, 0.25), (cubic_min, 2.0, 7.0)]
@@ -554,6 +564,16 @@ class TestSpectralMemo:
 
 
 class TestOptimalityMeasure:
+    def test_any_finite_positive_radius(self):
+        # the exit audit measures a strong-model exit at the step norm, which may exceed 1
+        b = DerivativeBundle(origin=np.zeros(2), grad=np.array([3.0, 4.0]), hess=np.eye(2))
+        assert optimality_measure(b, 2.0, q=1).phi == 10.0
+        # the Newton step -g has norm 5, inside radius 8: phi = g.g / 2
+        assert optimality_measure(b, 8.0, q=2).phi == pytest.approx(12.5, rel=1e-12)
+        for delta in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                optimality_measure(b, delta, 1)
+
     def test_first_order(self):
         b = DerivativeBundle(origin=np.zeros(2), grad=np.array([3.0, 4.0]))
         res = optimality_measure(b, 0.5, q=1)
@@ -591,15 +611,14 @@ class TestModelDescentStep:
     def test_degree_one_closed_form(self):
         b = DerivativeBundle(origin=np.zeros(2), grad=np.array([2.0, 0.0]))
         step = model_descent_step(b, sigma=4.0, orders=Orders(p=1, q=1), eps=1e-3, mu=1.0, theta=0.5)
+        assert step is not None
         np.testing.assert_allclose(step.s, [-0.5, 0.0], atol=1e-15)
         assert step.increment == pytest.approx(1.0, rel=1e-14)
-        assert not step.zero_step
         assert step.measure_increment is None  # 0.5 is a long step
 
     def test_degree_one_zero_gradient(self):
         b = DerivativeBundle(origin=np.zeros(2), grad=np.zeros(2))
-        step = model_descent_step(b, 4.0, Orders(p=1, q=1), 1e-3, 1.0, 0.5)
-        assert step.zero_step
+        assert model_descent_step(b, 4.0, Orders(p=1, q=1), 1e-3, 1.0, 0.5) is None
 
     def test_degree_one_general_beta_is_global_min(self):
         # stationarity of the regularized model at the returned step
@@ -621,7 +640,9 @@ class TestModelDescentStep:
         expected = (math.sqrt(13.0) - 1.0) / 2.0
         assert step.step_norm == pytest.approx(expected, rel=1e-10)
         assert step.measure_increment is None
-        assert step.model_acc is None
+        # the step carries no model tags: the driver derives them from the
+        # step bundle, and only when there is a measure to certify
+        assert [f.name for f in dataclasses.fields(step)] == ["s", "step_norm", "increment", "measure_increment"]
 
     def test_degree_two_short_step_satisfies_measure_test(self):
         # the exact model minimizer has a vanishing model gradient, so the
@@ -662,13 +683,12 @@ class TestModelDescentStep:
 
     def test_degree_two_zero_step_at_second_order_point(self):
         b = DerivativeBundle(origin=np.zeros(2), grad=np.zeros(2), hess=np.eye(2))
-        step = model_descent_step(b, 1.0, Orders(p=2, q=2), 1e-3, 1.0, 0.5)
-        assert step.zero_step
+        assert model_descent_step(b, 1.0, Orders(p=2, q=2), 1e-3, 1.0, 0.5) is None
 
     def test_degree_two_hard_case_descends(self):
         b = DerivativeBundle(origin=np.zeros(2), grad=np.zeros(2), hess=np.diag([-1.0, 1.0]))
         step = model_descent_step(b, 2.0, Orders(p=2, q=2), 0.5, 1.0, 0.5)
-        assert not step.zero_step
+        assert step is not None
         assert step.increment == pytest.approx(0.5, abs=1e-12)
 
     def test_decrease_exceeds_regularizer_on_random_instances(self):
@@ -685,7 +705,7 @@ class TestModelDescentStep:
             sigma = float(rng.uniform(0.2, 5.0))
             b = DerivativeBundle(origin=np.zeros(n), grad=g, hess=h)
             step = model_descent_step(b, sigma, Orders(p=2, q=1), 1e-4, 1.0, 0.5)
-            if step.zero_step:
+            if step is None:
                 continue
             reg = sigma / holder_factorial(2, 1.0) * step.step_norm**3
             assert step.increment > reg

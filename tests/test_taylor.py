@@ -131,15 +131,17 @@ class TestModelTaylorDerivs:
 
     def test_accuracy_tags_tripled(self):
         # three times the largest tag: the model gradient g + H s carries the
-        # Hessian's error too, up to 0.25 + 0.5 * sqrt(2) here
+        # Hessian's error too, up to 0.25 + 0.5 * sqrt(2) here; the model
+        # bundle itself is untagged, and model_accuracy bounds its errors
         b = DerivativeBundle(
             origin=np.zeros(2),
             grad=np.zeros(2),
             hess=np.zeros((2, 2)),
             achieved_acc={1: 0.25, 2: 0.5},
         )
-        out = model_taylor_derivs(b, np.ones(2), sigma=1.0)
-        assert out.achieved_acc == {1: 1.5, 2: 1.5}
+        s = np.ones(2)
+        assert model_taylor_derivs(b, s, sigma=1.0).achieved_acc == {}
+        assert model_accuracy(b.achieved_acc, math.sqrt(float(s.dot(s)))) == {1: 1.5, 2: 1.5}
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(42)
@@ -228,9 +230,10 @@ class TestModelAccuracy:
         )
         a = model_taylor_derivs(exact, s, 1.0)
         b = model_taylor_derivs(inexact, s, 1.0)
+        tags = model_accuracy(inexact.achieved_acc, math.sqrt(float(s.dot(s))))
         slack = 1e-12 * (1.0 + np.linalg.norm(a.grad) + np.linalg.norm(a.hess, 2))
-        assert np.linalg.norm(b.grad - a.grad) <= b.achieved_acc[1] + slack
-        assert np.linalg.norm(b.hess - a.hess, 2) <= b.achieved_acc[2] + slack
+        assert np.linalg.norm(b.grad - a.grad) <= tags[1] + slack
+        assert np.linalg.norm(b.hess - a.hess, 2) <= tags[2] + slack
 
 
 class TestTaylorBound:
