@@ -43,7 +43,10 @@ def certify_increment(
     certificate rests on non-finite data.
     """
     if not (0.0 < delta < math.inf and 0.0 <= increment < math.inf and xi > 0.0 and 0.0 < omega < 1.0):
-        raise ValueError("invalid certification arguments")
+        args = {"delta": delta, "increment": increment, "xi": xi, "omega": omega}
+        in_range = (0.0 < delta < math.inf, 0.0 <= increment < math.inf, xi > 0.0, 0.0 < omega < 1.0)
+        name = next(name for name, ok in zip(args, in_range) if not ok)
+        raise ValueError(f"invalid certification argument {name} = {args[name]}")
     if len(zetas) == 0:
         raise ValueError("zetas must be a nonempty list of finite nonnegative reals")
     total = 0.0

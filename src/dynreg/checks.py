@@ -98,7 +98,7 @@ def exit_violations(report: RunReport, problem: Problem) -> list[str]:
       phi_{f,q}(1) <= eps chi_q(1);
     - ``strong_model_optimality``: phi_{f,p}(r) <= (1 + omega) eps chi_p(r) / 2,
       with r = ``delta_at_exit`` and omega the last record's;
-    - ``zero_step`` and ``budget`` certify nothing, so nothing is checked.
+    - ``budget`` certifies nothing, so nothing is checked.
 
     A NaN or infinite ratio is a violation.
     """

@@ -79,14 +79,13 @@ class TerminationKind(str, Enum):
     For q < p this bounds the order-q measure only up to the higher-order
     terms of T at radius r.
 
-    ``zero_step`` and ``budget`` certify nothing.  ``checks.exit_violations``
-    rechecks each kind's bound from exact derivatives.
+    ``budget`` certifies nothing; a missing descent step aborts the run.
+    ``checks.exit_violations`` rechecks each bound from exact derivatives.
     """
 
     OPTIMAL_MEASURE = "optimal_measure"
     NEGLIGIBLE_INCREMENT = "negligible_increment"
     STRONG_MODEL_OPTIMALITY = "strong_model_optimality"
-    ZERO_STEP = "zero_step"
     BUDGET = "budget"
 
 
@@ -328,9 +327,6 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
                     bundle = oracle.request_derivatives(x, ladder.eps, orders.p)
                 reuse = False
                 step = model_descent_step(bundle, sigma, orders, eps, params.mu, params.theta)
-                if step is None:
-                    status = Termination(TerminationKind.ZERO_STEP, OPTIMALITY_RADIUS, k)
-                    break
                 if orders.p == 1:
                     # closed-form global minimizer: the relative bound follows
                     # from the measure-phase exit condition
@@ -353,7 +349,7 @@ def run(oracle: Oracle, x0, params: AlgoParams, orders: Orders) -> RunReport:
                 if step.measure_increment is None:  # a long step needs no model certificate
                     break
                 flag = _certify(
-                    "model", flags, starts, ladder, OPTIMALITY_RADIUS, max(0.0, step.measure_increment),
+                    "model", flags, starts, ladder, OPTIMALITY_RADIUS, step.measure_increment,
                     model_accuracy(bundle.achieved_acc, step.step_norm), orders.q, omega, xi_d_scale * omega * eps,
                 )
                 if flag is not CertifyFlag.NOT_CERTIFIED:

@@ -91,12 +91,11 @@ class MeasureResult:
     """Largest degree-q Taylor decrease within a ball of radius delta."""
 
     phi: float
-    d: np.ndarray
 
 
 @dataclass
 class StepResult:
-    """Trial step for the regularized model, with the data the driver certifies.
+    """Descent step of the regularized model, with the data the driver certifies.
 
     ``measure_increment`` is the model's optimality measure at the step,
     None for a long step; the driver bounds the errors behind it with
@@ -314,7 +313,7 @@ def optimality_measure(bundle: DerivativeBundle, delta: float, q: int) -> Measur
     """Largest decrease of the degree-q Taylor expansion over a delta-ball,
     for any finite delta > 0.
 
-    For q = 1 the maximizer is -delta g/||g|| in closed form; for q = 2 it
+    For q = 1 the decrease is delta ||g||, at -delta g/||g||; for q = 2 it
     is a trust-region solve.  The result is nonnegative by construction
     (d = 0 is feasible); tiny negative values from the subsolver tolerance
     are clamped to zero.
@@ -325,15 +324,11 @@ def optimality_measure(bundle: DerivativeBundle, delta: float, q: int) -> Measur
         raise ValueError("bundle has no gradient")
     if q == 1:
         g = bundle.grad
-        gn = math.sqrt(float(g.dot(g)))
-        if gn == 0.0:
-            return MeasureResult(phi=0.0, d=np.zeros_like(g))
-        return MeasureResult(phi=gn * delta, d=(-delta / gn) * g)
+        return MeasureResult(phi=math.sqrt(float(g.dot(g))) * delta)
     if q == 2:
         if bundle.hess is None:
             raise ValueError("bundle has no Hessian")
-        tr = trust_region_min(bundle.grad, bundle.hess, delta)
-        return MeasureResult(phi=max(0.0, -tr.value), d=tr.d)
+        return MeasureResult(phi=max(0.0, -trust_region_min(bundle.grad, bundle.hess, delta).value))
     raise ValueError("q must be 1 or 2")
 
 
@@ -367,7 +362,7 @@ def model_descent_step(
     eps: float,
     mu: float,
     theta: float,
-) -> StepResult | None:
+) -> StepResult:
     """Globally minimize the regularized model and package the trial step.
 
     Degree one has the closed-form global minimizer along -g; degree two
@@ -378,8 +373,16 @@ def model_descent_step(
     certify; a failed test raises ``SubsolverError``, since no smaller
     radius can pass (see the module docstring).
 
-    A zero global minimizer (or a Taylor increment that rounds to zero)
-    gives None, which the driver treats as termination.
+    A zero minimizer, or an increment that rounds to zero, raises
+    ``SubsolverError`` ("no descent step").  The driver calls this only
+    after the measure certified relatively at some phi~ > phi_exit, so the
+    exact measure is phi >= (1 - omega) phi~.  The oracle recomputes an
+    order only for a request tighter than its cached promise, and then
+    promises at most that request, so the step bundle's promises of orders
+    j <= q keep sum_j zeta_j/j! <= omega phi~.  A zero minimizer makes that
+    bundle's order-q measure 0, so phi <= omega phi~ < (1 - omega) phi~
+    (omega <= kappa_omega < 1/2): the oracle broke its promises, or
+    rounding lost the increment.
     """
     p, q, beta = orders.p, orders.q, orders.beta
     long_step = mu * eps ** (1.0 / orders.gap)
@@ -387,27 +390,23 @@ def model_descent_step(
     if p == 1:
         g = bundle.grad
         gn = math.sqrt(float(g.dot(g)))
-        if gn == 0.0:
-            return None
         step_norm = (gn / sigma) ** (1.0 / beta)
-        s = (-step_norm / gn) * g
+        s = (-step_norm / gn) * g if gn else g  # a zero gradient is the zero step
         increment = step_norm * gn
-        if step_norm >= long_step:
-            return StepResult(s, step_norm, increment, None)
-        # model gradient at the minimizer; zero in exact arithmetic
-        mg = g * (1.0 - sigma * step_norm**beta / gn)
-        measure = math.sqrt(float(mg.dot(mg))) * OPTIMALITY_RADIUS
     else:
         s = cubic_min(bundle.grad, bundle.hess, sigma).d
         step_norm = math.sqrt(float(s.dot(s)))
         increment = taylor_increment(bundle, s, p) if step_norm else 0.0
-        if increment <= 0.0:
-            # a zero minimizer, or descent lost to rounding; by the
-            # model-decrease lower bound the latter only happens for
-            # negligible steps
-            return None
-        if step_norm >= long_step:
-            return StepResult(s, step_norm, increment, None)
+    if increment <= 0.0:
+        gn = float(np.linalg.norm(bundle.grad))
+        raise SubsolverError("no descent step", {"gradient_norm": gn, "step_norm": step_norm, "increment": increment})
+    if step_norm >= long_step:
+        return StepResult(s, step_norm, increment, None)
+    if p == 1:
+        # model gradient at the minimizer; zero in exact arithmetic
+        mg = g * (1.0 - sigma * step_norm**beta / gn)
+        measure = math.sqrt(float(mg.dot(mg))) * OPTIMALITY_RADIUS
+    else:
         measure = optimality_measure(model_taylor_derivs(bundle, s, sigma), OPTIMALITY_RADIUS, q).phi
     bound = theta * step_norm**orders.gap / holder_factorial(p - q, beta)
     if measure > bound * chi(q, OPTIMALITY_RADIUS):

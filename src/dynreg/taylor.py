@@ -160,7 +160,7 @@ def model_taylor_derivs(bundle: DerivativeBundle, s: np.ndarray, sigma: float) -
     s = np.asarray(s, dtype=float)
     ns = math.sqrt(float(s @ s))
     g = bundle.grad + bundle.hess @ s
-    h = bundle.hess.copy()
+    h = bundle.hess
     if ns > 0.0:
         g = g + (0.5 * sigma * ns) * s
         h = h + (0.5 * sigma) * (ns * np.eye(s.size) + np.outer(s, s) / ns)

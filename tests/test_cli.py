@@ -293,6 +293,28 @@ class TestSolve:
         assert summary["totals"]["deriv_evals"] == {"1": 1}
         assert (out / "trace.jsonl").read_text() == ""
 
+    def test_no_descent_step_exit_code(self, tmp_path, monkeypatch, promise_breaking):
+        # a zero step after a certified measure certifies nothing: exit 4
+        monkeypatch.setitem(cli._ORACLES, "exact", lambda *_: promise_breaking())
+        out = tmp_path / "o"
+        args = ["solve", "--problem", "quadratic", "--eps", "1e-3", "--p", "1", "--q", "1", "--out", str(out)]
+        assert main(args) == EXIT_ABORTED
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "aborted"
+        assert summary["reason"] == "run aborted at iteration 0: no descent step"
+        assert summary["totals"]["deriv_evals"] == {"1": 2}
+        assert (out / "trace.jsonl").read_text() == ""
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowed_measure_names_the_rejected_increment(self, tmp_path):
+        # ||g|| overflows to inf in the q = 1 measure: the certification
+        # guard rejects it and the reason says which argument and why
+        cfg = write_config(tmp_path, {"problem": {"name": "quadratic", "diag": [1e308, 1e308]}})
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_ABORTED
+        reason = json.loads((out / "summary.json").read_text())["reason"]
+        assert "increment = inf" in reason
+
     def test_aborted_run_keeps_partial_trace(self, tmp_path, monkeypatch):
         import numpy as np
 

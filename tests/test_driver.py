@@ -329,6 +329,16 @@ class TestAbort:
         assert isinstance(err.value.__cause__, SubsolverError)
         assert err.value.trace == []
 
+    def test_no_descent_step_after_a_certified_measure_aborts(self, promise_breaking):
+        # the measure certifies 0.97e-3 above the exit threshold, so a zero
+        # step can only come from a broken promise: a failure, not an exit
+        with pytest.raises(RunAborted, match="iteration 0: no descent step") as err:
+            run(promise_breaking(), np.zeros(2), AlgoParams(eps=1e-3), Orders(1, 1))
+        assert isinstance(err.value.__cause__, subsolvers.SubsolverError)
+        assert err.value.__cause__.diagnostics == {"gradient_norm": 0.0, "step_norm": 0.0, "increment": 0.0}
+        assert err.value.trace == []
+        assert err.value.counters.deriv_evals == {1: 2}
+
     def test_overflowed_step_length_aborts(self):
         # the p = 1 step length (||g|| / sigma)^(1/beta) leaves the float
         # range: a Python float overflow, which aborts like any other failure

@@ -576,15 +576,11 @@ class TestOptimalityMeasure:
 
     def test_first_order(self):
         b = DerivativeBundle(origin=np.zeros(2), grad=np.array([3.0, 4.0]))
-        res = optimality_measure(b, 0.5, q=1)
-        assert res.phi == pytest.approx(2.5, abs=0)
-        np.testing.assert_allclose(res.d, [-0.3, -0.4], atol=1e-15)
+        assert optimality_measure(b, 0.5, q=1).phi == pytest.approx(2.5, abs=0)
 
     def test_first_order_zero_gradient(self):
         b = DerivativeBundle(origin=np.zeros(2), grad=np.zeros(2))
-        res = optimality_measure(b, 1.0, q=1)
-        assert res.phi == 0.0
-        np.testing.assert_array_equal(res.d, np.zeros(2))
+        assert optimality_measure(b, 1.0, q=1).phi == 0.0
 
     def test_second_order_psd(self):
         b = DerivativeBundle(origin=np.zeros(2), grad=np.zeros(2), hess=np.eye(2))
@@ -592,9 +588,8 @@ class TestOptimalityMeasure:
 
     def test_second_order_indefinite(self):
         b = DerivativeBundle(origin=np.zeros(2), grad=np.zeros(2), hess=np.diag([-2.0, 1.0]))
-        res = optimality_measure(b, 1.0, q=2)
-        assert res.phi == pytest.approx(1.0, abs=1e-10)
-        assert abs(res.d[0]) == pytest.approx(1.0, abs=1e-10)
+        assert optimality_measure(b, 1.0, q=2).phi == pytest.approx(1.0, abs=1e-10)
+        assert abs(trust_region_min(b.grad, b.hess, 1.0).d[0]) == pytest.approx(1.0, abs=1e-10)
 
     def test_second_order_against_grid(self):
         rng = np.random.default_rng(500)
@@ -611,14 +606,15 @@ class TestModelDescentStep:
     def test_degree_one_closed_form(self):
         b = DerivativeBundle(origin=np.zeros(2), grad=np.array([2.0, 0.0]))
         step = model_descent_step(b, sigma=4.0, orders=Orders(p=1, q=1), eps=1e-3, mu=1.0, theta=0.5)
-        assert step is not None
         np.testing.assert_allclose(step.s, [-0.5, 0.0], atol=1e-15)
         assert step.increment == pytest.approx(1.0, rel=1e-14)
         assert step.measure_increment is None  # 0.5 is a long step
 
     def test_degree_one_zero_gradient(self):
         b = DerivativeBundle(origin=np.zeros(2), grad=np.zeros(2))
-        assert model_descent_step(b, 4.0, Orders(p=1, q=1), 1e-3, 1.0, 0.5) is None
+        with pytest.raises(SubsolverError, match="no descent step") as err:
+            model_descent_step(b, 4.0, Orders(p=1, q=1), 1e-3, 1.0, 0.5)
+        assert err.value.diagnostics == {"gradient_norm": 0.0, "step_norm": 0.0, "increment": 0.0}
 
     def test_degree_one_general_beta_is_global_min(self):
         # stationarity of the regularized model at the returned step
@@ -681,19 +677,19 @@ class TestModelDescentStep:
         with pytest.raises(RunAborted, match="model-measure test"):
             run(oracle, np.array([-3e-2, 5e-3]), AlgoParams(eps=1e-2), Orders(p=2, q=1))
 
-    def test_degree_two_zero_step_at_second_order_point(self):
+    def test_degree_two_no_descent_step_at_second_order_point(self):
         b = DerivativeBundle(origin=np.zeros(2), grad=np.zeros(2), hess=np.eye(2))
-        assert model_descent_step(b, 1.0, Orders(p=2, q=2), 1e-3, 1.0, 0.5) is None
+        with pytest.raises(SubsolverError, match="no descent step") as err:
+            model_descent_step(b, 1.0, Orders(p=2, q=2), 1e-3, 1.0, 0.5)
+        assert err.value.diagnostics == {"gradient_norm": 0.0, "step_norm": 0.0, "increment": 0.0}
 
     def test_degree_two_hard_case_descends(self):
         b = DerivativeBundle(origin=np.zeros(2), grad=np.zeros(2), hess=np.diag([-1.0, 1.0]))
         step = model_descent_step(b, 2.0, Orders(p=2, q=2), 0.5, 1.0, 0.5)
-        assert step is not None
         assert step.increment == pytest.approx(0.5, abs=1e-12)
 
     def test_decrease_exceeds_regularizer_on_random_instances(self):
-        # every non-zero step descends, so the increment beats the
-        # regularizer term
+        # every step descends, so the increment beats the regularizer term
         from dynreg import holder_factorial
 
         rng = np.random.default_rng(700)
@@ -705,7 +701,5 @@ class TestModelDescentStep:
             sigma = float(rng.uniform(0.2, 5.0))
             b = DerivativeBundle(origin=np.zeros(n), grad=g, hess=h)
             step = model_descent_step(b, sigma, Orders(p=2, q=1), 1e-4, 1.0, 0.5)
-            if step is None:
-                continue
             reg = sigma / holder_factorial(2, 1.0) * step.step_norm**3
             assert step.increment > reg

@@ -74,7 +74,7 @@ class TestOrders:
 
 
 class TestTaylorIncrement:
-    def test_zero_step(self):
+    def test_null_step(self):
         assert taylor_increment(bundle(grad=[1.0, 0.0]), np.zeros(2), 1) == 0.0
 
     def test_order_two_example(self):
@@ -114,7 +114,7 @@ class TestTaylorIncrement:
 
 
 class TestModelTaylorDerivs:
-    def test_zero_step_is_identity(self):
+    def test_null_step_is_identity(self):
         g = np.array([1.0, -2.0])
         h = np.array([[2.0, 0.5], [0.5, 1.0]])
         b = bundle(grad=g, hess=h)
